@@ -27,7 +27,7 @@
 //! — a counter independent of the trace recording level, so switching
 //! the trace off speeds the run without losing the denominator.
 
-use homp_bench::seed_from_args;
+use homp_bench::{json_nums, seed_from_args};
 use homp_core::{Algorithm, OffloadRegion, RuntimeConfig};
 use homp_kernels::PhantomKernel;
 use homp_lang::{DistPolicy, MapDir};
@@ -239,21 +239,9 @@ fn render_json(scenarios: &[Scenario], quick_eps: f64) -> String {
     j
 }
 
-/// Extract the first number following `"key":` in hand-rolled JSON.
-fn json_num(s: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = s.find(&pat)? + pat.len();
-    let rest = s[i..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Validate the checked-in BENCH_engine.json and gate on regression.
-fn check_mode(path: &str, tolerance: f64, seed: u64) -> ! {
-    let body = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("{path}: cannot read checked-in baseline: {e}"));
+/// Check the schema of a checked-in BENCH_engine.json and return its
+/// recorded `quick_events_per_sec`, the number the gate compares to.
+fn recorded_quick(body: &str) -> Result<f64, String> {
     // Schema: every field the report merge and this gate depend on.
     for key in [
         "bench",
@@ -265,14 +253,25 @@ fn check_mode(path: &str, tolerance: f64, seed: u64) -> ! {
         "quick_events_per_sec",
         "scenarios",
     ] {
-        assert!(
-            body.contains(&format!("\"{key}\"")),
-            "{path}: schema violation, missing key {key:?}"
-        );
+        if !body.contains(&format!("\"{key}\"")) {
+            return Err(format!("schema violation, missing key {key:?}"));
+        }
     }
-    let recorded = json_num(&body, "quick_events_per_sec")
-        .unwrap_or_else(|| panic!("{path}: quick_events_per_sec is not a number"));
-    assert!(recorded > 0.0, "{path}: quick_events_per_sec must be positive");
+    let recorded = *json_nums(body, "quick_events_per_sec")
+        .first()
+        .ok_or("quick_events_per_sec is not a number")?;
+    if recorded > 0.0 {
+        Ok(recorded)
+    } else {
+        Err("quick_events_per_sec must be positive".into())
+    }
+}
+
+/// Validate the checked-in BENCH_engine.json and gate on regression.
+fn check_mode(path: &str, tolerance: f64, seed: u64) -> ! {
+    let body = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{path}: cannot read checked-in baseline: {e}"));
+    let recorded = recorded_quick(&body).unwrap_or_else(|e| panic!("{path}: {e}"));
     let current = headline(&run_suite(seed, true));
     let floor = recorded * (1.0 - tolerance);
     println!(
@@ -320,5 +319,35 @@ fn main() {
         let json = render_json(&scenarios, quick_eps);
         std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
         println!("[wrote BENCH_engine.json]");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn written(quick_eps: f64) -> String {
+        let s = Scenario { name: "chunked_dynamic", chunks: 1, events: 500, wall_s: 1.0 };
+        render_json(&[s], quick_eps)
+    }
+
+    #[test]
+    fn check_reads_the_file_it_writes() {
+        assert_eq!(recorded_quick(&written(420.0)), Ok(420.0));
+    }
+
+    #[test]
+    fn check_accepts_whitespace_before_the_colon() {
+        // A hand-edited baseline may write `"key" : value`, which is
+        // legal JSON; the gate must read it rather than fail.
+        let body = written(420.0)
+            .replace("\"quick_events_per_sec\":", "\"quick_events_per_sec\" :");
+        assert_eq!(recorded_quick(&body), Ok(420.0));
+    }
+
+    #[test]
+    fn check_rejects_missing_keys_and_non_positive_numbers() {
+        assert!(recorded_quick("{}").unwrap_err().contains("missing key"));
+        assert!(recorded_quick(&written(0.0)).unwrap_err().contains("positive"));
     }
 }

@@ -51,11 +51,11 @@ use crate::compile::{
 use crate::offload::OffloadRegion;
 use crate::pipeline::{Pipeline, PipelineKernel, PipelineReport};
 use crate::runtime::{
-    DataRegionReport, FaultConfig, LoopKernel, OffloadBuilder, OffloadError, OffloadReport,
-    Runtime, RuntimeConfig, UpdateReport,
+    DataRegionReport, FaultConfig, LoopKernel, OffloadBuilder, OffloadError, Runtime,
+    RuntimeConfig, UpdateReport,
 };
 use homp_lang::{parse_directive, Env, ParseError};
-use homp_sim::{Machine, SimTime, TransferStats};
+use homp_sim::{Machine, TransferStats};
 
 /// Error from the facade: parse, compile or offload failure.
 #[derive(Debug)]
@@ -152,8 +152,10 @@ impl Homp {
     }
 
     /// Enable (or disable) the per-chunk scheduler decision log. When
-    /// on, each [`OffloadReport`] carries the decisions behind it and
-    /// [`OffloadReport::run_report`] yields prediction-error statistics.
+    /// on, each [`OffloadReport`](crate::OffloadReport) carries the
+    /// decisions behind it and
+    /// [`OffloadReport::run_report`](crate::OffloadReport::run_report)
+    /// yields prediction-error statistics.
     /// Pure read-side: the simulated schedule is byte-identical either
     /// way.
     pub fn set_decision_log(&mut self, on: bool) {
@@ -194,16 +196,6 @@ impl Homp {
         kernel: &'k mut dyn LoopKernel,
     ) -> OffloadBuilder<'r, 'k> {
         self.runtime.offload(region, kernel)
-    }
-
-    /// Run with resident data (inside a `target data` region).
-    #[deprecated(note = "use `offload(region, kernel).resident().run()`")]
-    pub fn offload_resident(
-        &mut self,
-        region: &OffloadRegion,
-        kernel: &mut dyn LoopKernel,
-    ) -> Result<OffloadReport, HompError> {
-        Ok(self.runtime.offload_inner(region, kernel, true, SimTime::ZERO, true)?)
     }
 
     /// Run a [`Pipeline`] of offload stages (see

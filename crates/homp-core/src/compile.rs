@@ -103,15 +103,6 @@ impl CompileOptions {
         }
     }
 
-    /// Options with defaults for everything but the name and trip count.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use CompileOptions::for_kernel(&spec) or CompileOptions::for_loop(name, trip)"
-    )]
-    pub fn new(kernel_name: impl Into<String>, trip_count: u64) -> Self {
-        Self::for_loop(kernel_name, trip_count)
-    }
-
     /// Override the loop label.
     pub fn with_loop_label(mut self, label: impl Into<String>) -> Self {
         self.loop_label = label.into();
@@ -598,14 +589,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_still_lowers() {
+    fn for_loop_lowers_trip_count() {
         let d = parse_directive(
             "#pragma omp target device(*) map(to: x[0:n] partition([ALIGN(loop)]))",
         )
         .unwrap();
         let region =
-            compile(&[&d], &env_n(100), FULL, &CompileOptions::new("k", 100)).unwrap();
+            compile(&[&d], &env_n(100), FULL, &CompileOptions::for_loop("k", 100)).unwrap();
         assert_eq!(region.trip_count, 100);
     }
 

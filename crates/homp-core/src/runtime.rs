@@ -303,7 +303,7 @@ pub struct OffloadReport {
     /// Absolute virtual instant of the end barrier. Equals `makespan`
     /// past time zero for the classic entry points; later when the
     /// region was dispatched onto busy calendars via
-    /// [`Runtime::offload_at`] (the service layer's request-latency
+    /// [`OffloadBuilder::at`] (the service layer's request-latency
     /// clock reads this).
     pub completed_at: SimTime,
     /// Participating devices, in slot order.
@@ -525,7 +525,7 @@ pub struct Runtime {
     /// Virtual instant the current offload was dispatched at. Zero for
     /// the classic one-region-at-a-time entry points; a later instant
     /// when a service layer dispatches a region onto already-busy
-    /// calendars via [`Runtime::offload_at`]. Every scheduler path
+    /// calendars via [`OffloadBuilder::at`]. Every scheduler path
     /// anchors its first ops here, and [`OffloadReport::makespan`] is
     /// measured from it.
     dispatch_base: SimTime,
@@ -1157,50 +1157,6 @@ impl Runtime {
         kernel: &'k mut dyn LoopKernel,
     ) -> OffloadBuilder<'r, 'k> {
         OffloadBuilder { runtime: self, region, kernel, config: OffloadConfig::default() }
-    }
-
-    /// Offload with `data_resident = true` to skip the fixed (replicated
-    /// / independent) transfers — the `target data` region of Fig. 3 has
-    /// already mapped them.
-    #[deprecated(note = "use `offload(region, kernel).resident().run()`")]
-    pub fn offload_with(
-        &mut self,
-        region: &OffloadRegion,
-        kernel: &mut dyn LoopKernel,
-        data_resident: bool,
-    ) -> Result<OffloadReport, OffloadError> {
-        self.offload_inner(region, kernel, data_resident, SimTime::ZERO, true)
-    }
-
-    /// Dispatch a region onto the engine's calendars *as they stand*, at
-    /// virtual instant `at` — the multi-tenant entry point.
-    ///
-    /// Unlike a plain [`Runtime::offload`]`.run()` this does **not**
-    /// reset the engine: the region's first operations become ready at
-    /// `at` and queue behind whatever earlier regions already occupy
-    /// each resource (every engine op starts at `max(ready,
-    /// resource_free)`), so N in-flight regions genuinely share devices
-    /// on the virtual clock. The report's [`OffloadReport::makespan`]
-    /// is measured from `at` and [`OffloadReport::completed_at`] is the
-    /// absolute end barrier.
-    ///
-    /// Dispatches must be issued in non-decreasing `at` order: resource
-    /// calendars only move forward, so a region dispatched at an
-    /// earlier instant than one already committed cannot back-fill the
-    /// idle time before it.
-    ///
-    /// A single dispatch at `at = SimTime::ZERO` on a fresh (or
-    /// [`Runtime::reset_with_seed`]-rewound) runtime is byte-identical
-    /// to the classic offload — traces, decisions and report included.
-    #[deprecated(note = "use `offload(region, kernel).at(t).run()`")]
-    pub fn offload_at(
-        &mut self,
-        region: &OffloadRegion,
-        kernel: &mut dyn LoopKernel,
-        data_resident: bool,
-        at: SimTime,
-    ) -> Result<OffloadReport, OffloadError> {
-        self.offload_inner(region, kernel, data_resident, at, false)
     }
 
     pub(crate) fn offload_inner(
@@ -3282,9 +3238,24 @@ impl OffloadBuilder<'_, '_> {
     }
 
     /// Dispatch at virtual instant `at` on the engine's calendars *as
-    /// they stand* (no reset) — the multi-tenant path. Dispatches must
-    /// be issued in non-decreasing `at` order; `at(SimTime::ZERO)` on a
-    /// fresh runtime is byte-identical to the classic offload.
+    /// they stand* — the multi-tenant path.
+    ///
+    /// Unlike a plain `.run()` this does **not** reset the engine: the
+    /// region's first operations become ready at `at` and queue behind
+    /// whatever earlier regions already occupy each resource (every
+    /// engine op starts at `max(ready, resource_free)`), so N in-flight
+    /// regions genuinely share devices on the virtual clock. The
+    /// report's [`OffloadReport::makespan`] is measured from `at` and
+    /// [`OffloadReport::completed_at`] is the absolute end barrier.
+    ///
+    /// Dispatches must be issued in non-decreasing `at` order: resource
+    /// calendars only move forward, so a region dispatched at an
+    /// earlier instant than one already committed cannot back-fill the
+    /// idle time before it.
+    ///
+    /// A single dispatch at `at(SimTime::ZERO)` on a fresh (or
+    /// [`Runtime::reset_with_seed`]-rewound) runtime is byte-identical
+    /// to the classic offload — traces, decisions and report included.
     pub fn at(mut self, at: SimTime) -> Self {
         self.config.at = Some(at);
         self

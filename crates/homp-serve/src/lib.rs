@@ -9,9 +9,10 @@
 //!   arrival instant + fairness weight);
 //! * [`Server`] — the admission queue and event loop: requests wait
 //!   until admitted, an admission [`ServePolicy`] (FIFO or weighted
-//!   fair) picks the next one, and [`Runtime::offload_at`] dispatches
-//!   it onto the *shared, still-busy* engine calendars so concurrent
-//!   regions queue on real resources instead of an abstract lock;
+//!   fair) picks the next one in O(log T) for T queued tenants, and
+//!   [`OffloadBuilder::at`] dispatches it onto the *shared, still-busy*
+//!   engine calendars so concurrent regions queue on real resources
+//!   instead of an abstract lock;
 //! * [`ServeReport`] — per-request outcomes (arrival → dispatch →
 //!   completion), per-tenant stats with p50/p99 request latency, an
 //!   admission decision log, and machine-wide utilization computed by
@@ -36,8 +37,11 @@
 
 pub mod traffic;
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
+#[cfg(doc)]
+use homp_core::OffloadBuilder;
 use homp_core::{LoopKernel, OffloadError, OffloadRegion, OffloadReport, Runtime};
 use homp_sim::{Machine, Metrics, SimSpan, SimTime, Trace};
 
@@ -105,8 +109,9 @@ pub struct ServeDecision {
     /// Arrived-but-undispatched requests at decision time, including
     /// the one picked.
     pub queue_depth: usize,
-    /// The tenant's fair-queueing credit before this dispatch (always 0
-    /// under FIFO).
+    /// The tenant's accrued service credit (`Σ makespan / weight`)
+    /// before this dispatch. It accrues under both policies; only
+    /// [`ServePolicy::WeightedFair`] ranks tenants by it.
     pub credit: f64,
 }
 
@@ -207,6 +212,48 @@ fn latency_summary(lat: &mut [f64]) -> (f64, f64, f64, f64) {
     (mean, percentile(lat, 50.0), percentile(lat, 99.0), lat[lat.len() - 1])
 }
 
+/// One tenant's admission state: its accrued credit and its queued
+/// requests (submission indices) in arrival order.
+#[derive(Default)]
+struct TenantQueue {
+    credit: f64,
+    pending: VecDeque<usize>,
+}
+
+/// A non-empty tenant's queue head in the admission heap. Ordered so
+/// the least `(rank, arrival, seq)` pops first (`BinaryHeap` is a
+/// max-heap); `rank` is the tenant's credit under weighted-fair and 0
+/// under FIFO.
+struct Head {
+    rank: f64,
+    arrival: f64,
+    seq: usize,
+}
+
+impl Ord for Head {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .rank
+            .total_cmp(&self.rank)
+            .then(other.arrival.total_cmp(&self.arrival))
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Head {}
+
 /// The multi-tenant offload server: an admission queue over one
 /// [`Runtime`] whose engine calendars are shared by all in-flight
 /// requests.
@@ -261,12 +308,19 @@ impl Server {
     /// The event loop keeps one monotone virtual clock `now`: requests
     /// with `arrival <= now` sit in the admission queue; when the
     /// in-flight window has room the policy picks one and it is
-    /// dispatched at `now` via [`Runtime::offload_at`] — its operations
+    /// dispatched at `now` via [`OffloadBuilder::at`] — its operations
     /// then start no earlier than `now` *and* no earlier than each
     /// resource frees up, which is how concurrent regions contend.
     /// When the window is full, `now` advances to the earliest
     /// in-flight completion; when the queue is empty, to the next
     /// arrival.
+    ///
+    /// The queue is one FIFO deque per tenant plus a min-heap holding
+    /// each non-empty tenant's head, so a pick costs O(log T) for T
+    /// queued tenants. Requests enter in `(arrival, index)` order, so a
+    /// deque's front is its tenant's best candidate; only the
+    /// dispatched tenant's credit changes, so its next head is pushed
+    /// after the credit update and no heap key ever goes stale.
     ///
     /// A single request arriving at time zero on a fresh server is
     /// byte-identical (trace and all) to [`Runtime::offload`] of the
@@ -284,9 +338,17 @@ impl Server {
             ta.as_secs().total_cmp(&tb.as_secs()).then(a.cmp(&b))
         });
 
-        let mut queue: Vec<usize> = Vec::new();
+        let fair = self.policy == ServePolicy::WeightedFair;
+        let head = |seq: usize, credit: f64, slots: &[Option<ServeRequest<'_>>]| Head {
+            rank: if fair { credit } else { 0.0 },
+            arrival: slots[seq].as_ref().unwrap().arrival.as_secs(),
+            seq,
+        };
+
+        let mut tenants: BTreeMap<TenantId, TenantQueue> = BTreeMap::new();
+        let mut heads: BinaryHeap<Head> = BinaryHeap::new();
+        let mut queued = 0usize;
         let mut inflight: Vec<SimTime> = Vec::new();
-        let mut credit: BTreeMap<TenantId, f64> = BTreeMap::new();
         let mut now = SimTime::ZERO;
         let mut next = 0usize;
 
@@ -298,10 +360,16 @@ impl Server {
             while next < by_arrival.len()
                 && slots[by_arrival[next]].as_ref().unwrap().arrival <= now
             {
-                queue.push(by_arrival[next]);
+                let idx = by_arrival[next];
+                let t = tenants.entry(slots[idx].as_ref().unwrap().tenant).or_default();
+                if t.pending.is_empty() {
+                    heads.push(head(idx, t.credit, &slots));
+                }
+                t.pending.push_back(idx);
+                queued += 1;
                 next += 1;
             }
-            if queue.is_empty() {
+            if queued == 0 {
                 if next >= by_arrival.len() {
                     break;
                 }
@@ -317,21 +385,25 @@ impl Server {
                 continue;
             }
 
-            let pos = self.pick(&queue, &slots, &credit);
-            let idx = queue.remove(pos);
+            let idx = heads.pop().expect("a queued tenant has a head").seq;
             let mut req = slots[idx].take().expect("queued request present");
-            let before = *credit.get(&req.tenant).unwrap_or(&0.0);
+            let t = tenants.get_mut(&req.tenant).expect("queued tenant present");
+            let front = t.pending.pop_front();
+            debug_assert_eq!(front, Some(idx), "the heap holds each tenant's front");
             decisions.push(ServeDecision {
                 seq: idx,
                 tenant: req.tenant,
                 decided_at: now,
-                queue_depth: queue.len() + 1,
-                credit: before,
+                queue_depth: queued,
+                credit: t.credit,
             });
+            queued -= 1;
 
             let report = self.rt.offload(&req.region, req.kernel.as_mut()).at(now).run()?;
-            *credit.entry(req.tenant).or_insert(0.0) +=
-                report.makespan.as_secs() / req.weight.max(1e-9);
+            t.credit += report.makespan.as_secs() / req.weight.max(1e-9);
+            if let Some(&h) = t.pending.front() {
+                heads.push(head(h, t.credit, &slots));
+            }
             inflight.push(report.completed_at);
             master.absorb(&report.trace);
             outcomes.push(RequestOutcome {
@@ -363,43 +435,6 @@ impl Server {
             p99_latency_s,
             max_latency_s,
         })
-    }
-
-    /// Position in `queue` of the request the policy picks next.
-    fn pick(
-        &self,
-        queue: &[usize],
-        slots: &[Option<ServeRequest<'_>>],
-        credit: &BTreeMap<TenantId, f64>,
-    ) -> usize {
-        let fifo_key = |i: usize| {
-            let r = slots[i].as_ref().unwrap();
-            (r.arrival.as_secs(), i)
-        };
-        let mut best = 0usize;
-        for cand in 1..queue.len() {
-            let better = match self.policy {
-                ServePolicy::Fifo => {
-                    let (ka, kb) = (fifo_key(queue[cand]), fifo_key(queue[best]));
-                    ka.0.total_cmp(&kb.0).then(ka.1.cmp(&kb.1)).is_lt()
-                }
-                ServePolicy::WeightedFair => {
-                    let c = |i: usize| {
-                        *credit.get(&slots[i].as_ref().unwrap().tenant).unwrap_or(&0.0)
-                    };
-                    let (ca, cb) = (c(queue[cand]), c(queue[best]));
-                    let (ka, kb) = (fifo_key(queue[cand]), fifo_key(queue[best]));
-                    ca.total_cmp(&cb)
-                        .then(ka.0.total_cmp(&kb.0))
-                        .then(ka.1.cmp(&kb.1))
-                        .is_lt()
-                }
-            };
-            if better {
-                best = cand;
-            }
-        }
-        best
     }
 
     fn tenant_stats(outcomes: &[RequestOutcome]) -> Vec<TenantStats> {
@@ -544,6 +579,44 @@ mod tests {
         assert_eq!(order, [1, 2, 0]);
         for w in rep.outcomes.windows(2) {
             assert!(w[1].dispatched_at >= w[0].dispatched_at, "dispatches are monotone");
+        }
+    }
+
+    #[test]
+    fn decision_log_queue_depth_matches_outcomes() {
+        let m = Machine::four_k40();
+        let specs = suite();
+        // Bursts of equal arrival instants, submitted out of arrival
+        // order, from five tenants of mixed weight.
+        let arrivals_us = [300.0, 0.0, 300.0, 0.0, 150.0, 0.0, 300.0, 900.0, 150.0, 0.0];
+        for policy in [ServePolicy::Fifo, ServePolicy::WeightedFair] {
+            for window in [1, 3] {
+                let reqs: Vec<ServeRequest<'static>> = (0..30)
+                    .map(|i| {
+                        let at = arrivals_us[i % arrivals_us.len()] + (i / 10) as f64 * 400.0;
+                        request(&m, &specs[i % specs.len()], (i % 5) as TenantId, at)
+                            .with_weight([1.0, 4.0, 0.5][i % 3])
+                    })
+                    .collect();
+                let mut srv = Server::new(m.clone(), 42).policy(policy).max_inflight(window);
+                let rep = srv.serve(reqs).unwrap();
+                assert_eq!(rep.decisions.len(), 30);
+                for (i, d) in rep.decisions.iter().enumerate() {
+                    let waiting = rep.outcomes[i..]
+                        .iter()
+                        .filter(|o| o.arrival <= d.decided_at)
+                        .count();
+                    assert_eq!(d.queue_depth, waiting, "{policy:?} window {window} decision {i}");
+                }
+                if policy == ServePolicy::Fifo {
+                    // FIFO is the global (arrival, submission index) order.
+                    let keys: Vec<(f64, usize)> =
+                        rep.outcomes.iter().map(|o| (o.arrival.as_secs(), o.seq)).collect();
+                    let mut sorted = keys.clone();
+                    sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    assert_eq!(keys, sorted, "window {window}");
+                }
+            }
         }
     }
 
