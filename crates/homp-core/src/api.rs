@@ -186,8 +186,8 @@ impl Homp {
     }
 
     /// Offload a region: returns the unified [`OffloadBuilder`] — chain
-    /// options ([`OffloadBuilder::resident`], [`OffloadBuilder::at`])
-    /// and finish with [`OffloadBuilder::run`]. The builder's error is
+    /// options ([`OffloadBuilder::at`]) and finish with
+    /// [`OffloadBuilder::run`]. The builder's error is
     /// [`OffloadError`], which converts into [`HompError`], so `?`
     /// works in facade-level code.
     pub fn offload<'r, 'k>(
@@ -442,22 +442,23 @@ mod more_tests {
         let mut homp = Homp::noiseless(Machine::four_k40());
         let mut env = Env::new();
         env.insert("n".into(), 10_000);
-        let region = homp
-            .compile_source(
-                &[
-                    "#pragma omp parallel target data device(*) \
-                     map(to: big[0:n*64]) \
-                     map(tofrom: y[0:n] partition([ALIGN(loop)]))",
-                    "#pragma omp parallel for distribute dist_schedule(target:[BLOCK])",
-                ],
-                &env,
-                crate::compile::CompileOptions::for_loop("resident", 10_000),
-            )
-            .unwrap();
-        let mut k1 = FnKernel::new(intensity(), |_r: Range| {});
-        let cold = homp.offload(&region, &mut k1).run().unwrap().makespan;
-        let mut k2 = FnKernel::new(intensity(), |_r: Range| {});
-        let warm = homp.offload(&region, &mut k2).resident().run().unwrap().makespan;
+        let sources = [
+            "#pragma omp parallel target data device(*) \
+             map(to: big[0:n*64]) \
+             map(tofrom: y[0:n] partition([ALIGN(loop)]))",
+            "#pragma omp parallel for distribute dist_schedule(target:[BLOCK])",
+        ];
+        let opts = CompileOptions::for_loop("resident", 10_000);
+        let region = homp.compile_source(&sources, &env, opts.clone()).unwrap();
+        let mut k = FnKernel::new(intensity(), |_r: Range| {});
+        let cold = homp.offload(&region, &mut k).run().unwrap().makespan;
+        // The region's first offload uploads; the second finds the
+        // replicated `big` already on every device.
+        let mut data = homp.data_region(&sources, &env, opts).unwrap();
+        data.offload_here(&mut k).run().unwrap();
+        let warm = data.offload_here(&mut k).run().unwrap().makespan;
+        assert!(data.stats().h2d_elided_bytes >= 4 * 10_000 * 64 * 8);
+        data.close().unwrap();
         assert!(warm < cold, "resident {warm} !< cold {cold}");
     }
 

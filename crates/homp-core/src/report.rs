@@ -84,6 +84,29 @@ pub struct ChunkDecision {
 }
 
 impl ChunkDecision {
+    /// A plain placement: no prediction, not requeued, no donor, no
+    /// note. Schedulers fill in the rest with struct-update syntax.
+    pub(crate) fn placed(
+        slot: usize,
+        device: DeviceId,
+        range: Range,
+        stage: &'static str,
+        realized_s: f64,
+    ) -> ChunkDecision {
+        ChunkDecision {
+            slot,
+            device,
+            range,
+            stage,
+            predicted_s: None,
+            source: None,
+            realized_s,
+            requeued: false,
+            donor: None,
+            note: None,
+        }
+    }
+
     /// Signed relative error of the prediction, percent
     /// (`(realized − predicted) / predicted · 100`); `None` when the
     /// decision carries no usable prediction.
@@ -374,16 +397,9 @@ mod tests {
 
     fn decision(predicted: Option<f64>, realized: f64) -> ChunkDecision {
         ChunkDecision {
-            slot: 0,
-            device: 0,
-            range: Range::new(0, 10),
-            stage: "static",
             predicted_s: predicted,
             source: predicted.map(|_| PredictionSource::Model2),
-            realized_s: realized,
-            requeued: false,
-            donor: None,
-            note: None,
+            ..ChunkDecision::placed(0, 0, Range::new(0, 10), "static", realized)
         }
     }
 

@@ -79,8 +79,8 @@ pub mod prelude {
     pub use homp_core::{
         Algorithm, ChunkDecision, ChunkingPolicy, CompileError, CompileOptions, DataRegion,
         DataRegionReport, FaultConfig, FnKernel, FnPipelineKernel, Homp, HompError,
-        KernelDescriptor, KernelInfo, LoopKernel, OffloadBuilder, OffloadConfig, OffloadError,
-        OffloadRegion, OffloadReport, Pipeline, PipelineBuilder, PipelineKernel,
+        KernelDescriptor, KernelInfo, LoopKernel, OffloadBuilder, OffloadError, OffloadRegion,
+        OffloadReport, Pipeline, PipelineBuilder, PipelineKernel,
         PipelineReport, Range, RunReport, Runtime, RuntimeConfig, UpdateReport,
     };
     pub use homp_kernels::{KernelSpec, PhantomKernel};
