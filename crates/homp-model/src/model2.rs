@@ -136,6 +136,13 @@ pub fn offload_speedup(
 pub fn model2_shares(devices: &[DeviceParams], kernel: &KernelIntensity, n: u64) -> Vec<f64> {
     assert!(!devices.is_empty(), "need at least one device");
     let costs: Vec<DeviceCost> = devices.iter().map(|d| device_cost(d, kernel)).collect();
+    if n == 0 {
+        // No finish time to equalize: every fixed cost would exceed it
+        // and price out every device. Split by throughput instead.
+        let inv_c: Vec<f64> = costs.iter().map(|c| 1.0 / c.per_iter()).collect();
+        let sum: f64 = inv_c.iter().sum();
+        return inv_c.iter().map(|ic| ic / sum).collect();
+    }
     let mut active: Vec<usize> = (0..devices.len()).collect();
 
     loop {
@@ -208,6 +215,13 @@ mod tests {
     fn shares_sum_to_one() {
         let s = model2_shares(&[host(), gpu(), gpu()], &axpy(), 10_000_000);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_loop_still_has_shares() {
+        let s = model2_shares(&[host(), gpu(), gpu()], &axpy(), 0);
+        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(s.iter().all(|&v| v > 0.0), "{s:?}");
     }
 
     #[test]
