@@ -272,3 +272,31 @@ fn jacobi_sweep_residual_overlaps() {
     );
     assert!(overlapped.boundary_idle.as_secs() <= barrier.boundary_idle.as_secs());
 }
+
+/// Every device drops before the first chunk lands, so all three stages
+/// run on the host. The end barrier must wait for that host work: the
+/// pipeline cannot complete before its stages, and its overlap cannot
+/// exceed what the stages actually cost.
+#[test]
+fn host_fallback_time_reaches_the_end_barrier() {
+    let n = 8_192u64;
+    let plan =
+        (0..4).fold(FaultPlan::new(7), |p, d| p.with_dropout_at(d, 20e-6 + 1e-7 * f64::from(d)));
+    let mut rt = Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan));
+    let mut k = PipeCoverage::new(3, n);
+    let rep = rt
+        .offload_pipeline(&chain(3, n, true, ChunkingPolicy::PerDeviceChunks(4)), &mut k)
+        .unwrap();
+    k.assert_exactly_once("all devices dropped");
+    let host: u64 = rep.stages.iter().map(|s| s.faults.host_iters).sum();
+    assert!(host > 0, "the host must have run something");
+    for (s, stage) in rep.stages.iter().enumerate() {
+        assert!(
+            rep.completed_at >= stage.completed_at,
+            "stage {s} completes at {:?}, after the pipeline's {:?}",
+            stage.completed_at,
+            rep.completed_at
+        );
+    }
+    assert!(rep.makespan.as_secs() > 0.0);
+}
