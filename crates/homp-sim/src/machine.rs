@@ -153,6 +153,10 @@ impl Machine {
     }
 
     /// Parse a machine description file.
+    ///
+    /// Every number must be finite. Rates (`peak_gflops`, `mem_bw_gbs`,
+    /// `efficiency`, `link_beta_gbs`) must be above zero; latencies and
+    /// sizes (`launch_us`, `link_alpha_us`, `capacity_mb`) at least zero.
     pub fn parse_description(text: &str) -> Result<Machine, MachineParseError> {
         let mut name = String::from("unnamed");
         let mut devices = Vec::new();
@@ -189,31 +193,41 @@ impl Machine {
                         let (k, v) = kv
                             .split_once('=')
                             .ok_or(MachineParseError::new(lineno, "expected key=value"))?;
-                        let numeric = || {
-                            v.parse::<f64>().map_err(|_| {
+                        // A finite number, above zero for rates (which
+                        // divide) and at least zero for latencies and sizes.
+                        let numeric = |zero_ok: bool| {
+                            let x = v.parse::<f64>().map_err(|_| {
                                 MachineParseError::new(lineno, format!("bad number for {k}: {v}"))
-                            })
+                            })?;
+                            if x.is_finite() && (x > 0.0 || (zero_ok && x >= 0.0)) {
+                                return Ok(x);
+                            }
+                            let bound = if zero_ok { ">= 0" } else { "> 0" };
+                            Err(MachineParseError::new(
+                                lineno,
+                                format!("{k} must be finite and {bound}, got {v}"),
+                            ))
                         };
+                        let rate = || numeric(false);
+                        let size = || numeric(true);
                         match k {
                             "type" => {
                                 dev_type = Some(DeviceType::parse(v).ok_or_else(|| {
                                     MachineParseError::new(lineno, format!("unknown type {v}"))
                                 })?)
                             }
-                            "peak_gflops" => peak = Some(numeric()? * 1e9),
-                            "mem_bw_gbs" => bw = Some(numeric()? * 1e9),
-                            "efficiency" => eff = numeric()?,
-                            "launch_us" => launch = numeric()? * 1e-6,
-                            "capacity_mb" => {
-                                capacity = (numeric()? * (1 << 20) as f64) as u64
-                            }
+                            "peak_gflops" => peak = Some(rate()? * 1e9),
+                            "mem_bw_gbs" => bw = Some(rate()? * 1e9),
+                            "efficiency" => eff = rate()?,
+                            "launch_us" => launch = size()? * 1e-6,
+                            "capacity_mb" => capacity = (size()? * (1 << 20) as f64) as u64,
                             "teams" => {
                                 teams = v.parse().map_err(|_| {
                                     MachineParseError::new(lineno, format!("bad teams {v}"))
                                 })?
                             }
-                            "link_alpha_us" => alpha = Some(numeric()? * 1e-6),
-                            "link_beta_gbs" => beta = Some(numeric()? * 1e9),
+                            "link_alpha_us" => alpha = Some(size()? * 1e-6),
+                            "link_beta_gbs" => beta = Some(rate()? * 1e9),
                             "bus_group" => {
                                 bus_group = v.parse().map_err(|_| {
                                     MachineParseError::new(lineno, format!("bad bus_group {v}"))
@@ -382,6 +396,35 @@ mod tests {
         )
         .is_err()); // half a link
         assert!(Machine::parse_description("").is_err()); // no devices
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_typed_errors() {
+        // One case per numeric key: every value a simulation cannot
+        // price (a zero rate divides, NaN and inf poison the clock).
+        let cases: [(&str, &[&str]); 7] = [
+            ("peak_gflops", &["0", "-1", "NaN", "inf"]),
+            ("mem_bw_gbs", &["0", "-1", "NaN", "inf"]),
+            ("efficiency", &["0", "-1", "NaN", "inf"]),
+            ("launch_us", &["-1", "NaN", "inf"]),
+            ("capacity_mb", &["-1", "NaN", "inf"]),
+            ("link_alpha_us", &["-1", "NaN", "inf"]),
+            ("link_beta_gbs", &["0", "-1", "NaN", "inf"]),
+        ];
+        let base = "device g type=gpu peak_gflops=1 mem_bw_gbs=1 link_alpha_us=1 link_beta_gbs=1";
+        for (key, bad) in cases {
+            for v in bad {
+                let text = format!("machine m\n{base} {key}={v}\n");
+                let err = Machine::parse_description(&text)
+                    .expect_err(&format!("{key}={v} must be rejected"));
+                assert_eq!(err.line, 1, "{key}={v}");
+                assert!(err.message.contains(key), "{key}={v}: {err}");
+            }
+        }
+        // The bounds are inclusive where zero is meaningful.
+        for ok in ["launch_us=0", "capacity_mb=0", "link_alpha_us=0"] {
+            assert!(Machine::parse_description(&format!("{base} {ok}")).is_ok(), "{ok}");
+        }
     }
 
     #[test]
