@@ -14,8 +14,8 @@
 //! * `chunked_dynamic` — the headline torture: ~10⁶ chunks through
 //!   `run_chunked` (SCHED_DYNAMIC), the hottest loop in `homp-core`.
 //! * `work_assist` — repeated WORK_ASSIST offloads through the
-//!   dry-run-then-commit event loop, reusing one runtime via
-//!   `reset_with_seed`.
+//!   single-pass event loop (rolled back to the static path when no
+//!   assist fires), reusing one runtime via `reset_with_seed`.
 //!
 //! Modes: the default (full) run writes `BENCH_engine.json`;
 //! `--quick` runs ~20× smaller and writes nothing; `--check <path>`
@@ -152,7 +152,7 @@ fn chunked_dynamic(seed: u64, chunks: u64) -> Scenario {
     Scenario { name: "chunked_dynamic", chunks: report.chunks, events: rt.sim_ops() - ops0, wall_s }
 }
 
-/// Repeated WORK_ASSIST offloads (dry run + commit each) on one
+/// Repeated WORK_ASSIST offloads (one event-loop pass each) on one
 /// runtime, rewound between offloads.
 fn work_assist(seed: u64, quick: bool) -> Scenario {
     let repeats: u64 = if quick { 15 } else { 300 };
