@@ -17,6 +17,8 @@
 //! * [`fault`] — deterministic fault injection (transient DMA errors,
 //!   launch timeouts, permanent device dropout).
 //! * [`trace`] — operation traces, Fig.-6-style breakdowns, ASCII Gantt.
+//! * [`fixed`] — fixed-precision float rendering, byte-identical to
+//!   `core::fmt`'s `{:.N}`, for reports and trace exports.
 //! * [`metrics`] — per-device utilization, DMA/compute overlap, queue
 //!   wait, byte/iteration counters and fault tallies, all derived from a
 //!   finished trace (pure read-side observability).
@@ -30,6 +32,7 @@
 pub mod device;
 pub mod engine;
 pub mod fault;
+pub mod fixed;
 pub mod machine;
 pub mod memory;
 pub mod metrics;
