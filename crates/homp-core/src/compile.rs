@@ -144,6 +144,8 @@ pub enum CompileError {
     /// The directive handed to [`compile_update`] is not a
     /// `target update` construct.
     NotTargetUpdate,
+    /// A `CUTOFF(p%)` ratio outside `[0, 1)`, i.e. `p` of 100 or more.
+    InvalidCutoff(f64),
 }
 
 impl From<EvalError> for CompileError {
@@ -173,6 +175,7 @@ impl std::fmt::Display for CompileError {
             CompileError::NotTargetUpdate => {
                 write!(f, "directive is not a `target update` construct")
             }
+            CompileError::InvalidCutoff(r) => write!(f, "CUTOFF ratio {r} is outside [0, 1)"),
         }
     }
 }
@@ -233,6 +236,9 @@ pub fn compile(
                 kind => {
                     algorithm = Algorithm::from_schedule_kind(kind, s.cutoff_pct)
                         .expect("non-ALIGN kinds lower to algorithms");
+                    if let Some(r) = algorithm.invalid_cutoff() {
+                        return Err(CompileError::InvalidCutoff(r));
+                    }
                 }
             }
         }

@@ -126,6 +126,9 @@ pub enum OffloadError {
     /// A data-region operation (`close`, `target update`) was issued
     /// with no `target data` region open.
     NoOpenDataRegion,
+    /// The region's algorithm carries a CUTOFF ratio outside `[0, 1)`
+    /// (NaN included).
+    InvalidCutoff(f64),
 }
 
 impl From<PlanError> for OffloadError {
@@ -151,6 +154,7 @@ impl std::fmt::Display for OffloadError {
             OffloadError::NoOpenDataRegion => {
                 write!(f, "no target data region is open")
             }
+            OffloadError::InvalidCutoff(r) => write!(f, "CUTOFF ratio {r} is outside [0, 1)"),
         }
     }
 }
@@ -1085,7 +1089,7 @@ impl Runtime {
         kernel: &mut dyn LoopKernel,
         db: &mut crate::history::HistoryDb,
     ) -> Result<OffloadReport, OffloadError> {
-        self.check_devices(&region.devices)?;
+        self.check_region(region)?;
         let slots = region.devices.clone();
         let report = if db.covers(&region.name, &slots) {
             let per_dev_guess = region.trip_count / slots.len() as u64;
@@ -1175,8 +1179,10 @@ impl Runtime {
     }
 
     /// A region must name at least one device, and only devices the
-    /// machine has, each once.
-    fn check_devices(&self, devices: &[DeviceId]) -> Result<(), OffloadError> {
+    /// machine has, each once; its CUTOFF ratio, if any, must lie in
+    /// `[0, 1)`.
+    fn check_region(&self, region: &OffloadRegion) -> Result<(), OffloadError> {
+        let devices = &region.devices;
         if devices.is_empty() {
             return Err(OffloadError::NoDevices);
         }
@@ -1188,7 +1194,10 @@ impl Runtime {
                 return Err(OffloadError::DuplicateDevice(d));
             }
         }
-        Ok(())
+        match region.algorithm.invalid_cutoff() {
+            Some(r) => Err(OffloadError::InvalidCutoff(r)),
+            None => Ok(()),
+        }
     }
 
     pub(crate) fn offload_inner(
@@ -1198,8 +1207,8 @@ impl Runtime {
         at: SimTime,
         reset: bool,
     ) -> Result<OffloadReport, OffloadError> {
+        self.check_region(region)?;
         let slots: &[DeviceId] = &region.devices;
-        self.check_devices(slots)?;
         let n = slots.len();
         let plan = DataPlan::new(region, n)?;
         let intensity = kernel.intensity();
@@ -2547,7 +2556,7 @@ impl Runtime {
         let mut stage_bytes: Vec<StageBytes> = Vec::with_capacity(n_stages);
         let mut chunk_lists: Vec<Vec<(usize, Range)>> = Vec::with_capacity(n_stages);
         for (s, region) in pipeline.stages.iter().enumerate() {
-            self.check_devices(&region.devices)?;
+            self.check_region(region)?;
             let counts = block::block_counts(region.trip_count, region.devices.len());
             let plan = DataPlan::new(region, region.devices.len())?;
             self.check_capacity(&region.devices, &plan, 0, Some(&counts))?;

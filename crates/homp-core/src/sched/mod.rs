@@ -211,6 +211,14 @@ impl Algorithm {
         }
     }
 
+    /// The CUTOFF ratio when it lies outside `[0, 1)`, NaN included.
+    /// CUTOFF drops the devices whose predicted share is below the
+    /// ratio, and [`homp_model::cutoff::apply_cutoff`] accepts only
+    /// ratios in that range.
+    pub(crate) fn invalid_cutoff(&self) -> Option<f64> {
+        self.cutoff().filter(|r| !(0.0..1.0).contains(r))
+    }
+
     /// Return a copy with the CUTOFF ratio set (no-op for chunk
     /// algorithms, which don't support it).
     pub fn with_cutoff(self, ratio: f64) -> Algorithm {

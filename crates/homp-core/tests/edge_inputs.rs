@@ -1,13 +1,15 @@
 //! Edge inputs give a typed error or a valid schedule, never a panic:
 //! a region with no devices, a region naming a device twice, an empty
 //! loop, a one-iteration loop and more devices than iterations, under
-//! every algorithm (the extended suite plus AUTO).
+//! every algorithm (the extended suite plus AUTO), and a CUTOFF ratio
+//! outside `[0, 1)` under every algorithm that takes one.
 
 use homp_core::testing::{assert_decisions_partition, CoverageKernel};
 use homp_core::{
-    Algorithm, FnPipelineKernel, OffloadError, OffloadRegion, Pipeline, Range, Runtime,
+    compile, Algorithm, CompileError, CompileOptions, FnPipelineKernel, OffloadError,
+    OffloadRegion, Pipeline, Range, Runtime,
 };
-use homp_lang::{DistPolicy, MapDir};
+use homp_lang::{parse_directive, DistPolicy, Env, MapDir};
 use homp_model::KernelIntensity;
 use homp_sim::{DeviceId, Machine, SimTime};
 
@@ -131,6 +133,104 @@ fn tiny_loops_give_valid_schedules() {
                 assert_decisions_partition(&report, n, &label);
                 assert_eq!(report.counts.len(), devices.len(), "{label}");
             }
+        }
+    }
+}
+
+/// The algorithms that take a CUTOFF ratio, each carrying `ratio`.
+fn with_cutoff(ratio: f64) -> [Algorithm; 6] {
+    let cutoff = Some(ratio);
+    [
+        Algorithm::Model1 { cutoff },
+        Algorithm::Model2 { cutoff },
+        Algorithm::ProfileConst { sample_pct: 10.0, cutoff },
+        Algorithm::ProfileModel { sample_pct: 10.0, cutoff },
+        Algorithm::WorkAssist { min_assist_pct: 5.0, cutoff },
+        Algorithm::Auto { cutoff },
+    ]
+}
+
+/// `apply_cutoff` asserts its ratio lies in `[0, 1)`. Builder values
+/// outside it (1.0, 1.5, −0.1, NaN) are rejected before anything runs,
+/// on every entry point that checks a region's devices.
+#[test]
+fn a_cutoff_outside_the_unit_interval_is_a_typed_error() {
+    let rejects = |e: OffloadError, r: f64| {
+        matches!(e, OffloadError::InvalidCutoff(x) if x.to_bits() == r.to_bits())
+    };
+    let intensity = KernelIntensity {
+        flops_per_iter: 2.0,
+        mem_elems_per_iter: 3.0,
+        data_elems_per_iter: 3.0,
+        elem_bytes: 8.0,
+    };
+    for r in [1.0, 1.5, -0.1, f64::NAN] {
+        for alg in with_cutoff(r) {
+            let reg = region(1_000, vec![0, 1, 2, 3], alg);
+            let mut rt = Runtime::new(Machine::four_k40(), 42);
+            let mut k = CoverageKernel::new(1_000);
+            assert!(rejects(rt.offload(&reg, &mut k).run().unwrap_err(), r), "{alg}");
+            let at = SimTime::from_secs(1e-3);
+            assert!(rejects(rt.offload(&reg, &mut k).at(at).run().unwrap_err(), r), "{alg} at(t)");
+            let mut db = homp_core::history::HistoryDb::new();
+            let learned = rt.offload_learned(&reg, &mut k, &mut db).unwrap_err();
+            assert!(rejects(learned, r), "{alg} learned");
+            assert!(k.hits.iter().all(|&h| h == 0), "{alg}: nothing may execute");
+
+            // Every pipeline stage is checked, in either executor.
+            let good = region(1_000, vec![0, 1], Algorithm::Block);
+            for nowait in [false, true] {
+                let mut b = Pipeline::builder("edge").then(good.clone());
+                if nowait {
+                    b = b.nowait();
+                }
+                let pipeline = b.then(reg.clone()).build();
+                let mut k = FnPipelineKernel::new(vec![intensity; 2], |_s: usize, _r: Range| {});
+                let mut rt = Runtime::new(Machine::four_k40(), 42);
+                let err = rt.offload_pipeline(&pipeline, &mut k).unwrap_err();
+                assert!(rejects(err, r), "{alg} pipeline nowait={nowait}");
+            }
+        }
+    }
+}
+
+/// Directive text reaches CUTOFF as a whole percentage: 100 % and
+/// above fail to compile, below 100 % compiles and runs (0 % keeps
+/// every device).
+#[test]
+fn a_directive_cutoff_of_100_percent_or_more_is_a_compile_error() {
+    let machine = Machine::four_k40();
+    let types: Vec<&str> = machine.devices.iter().map(|d| d.dev_type.homp_name()).collect();
+    let mut env = Env::new();
+    env.insert("n".into(), 1_000);
+    let kinds = [
+        "MODEL_1_AUTO",
+        "MODEL_2_AUTO",
+        "SCHED_PROFILE_AUTO",
+        "MODEL_PROFILE_AUTO",
+        "WORK_ASSIST",
+        "AUTO",
+    ];
+    for kind in kinds {
+        for pct in [0u64, 15, 99, 100, 150] {
+            let text = format!(
+                "#pragma omp parallel for target device(*) \
+                 map(to: x[0:n] partition([ALIGN(loop)])) \
+                 map(tofrom: y[0:n] partition([ALIGN(loop)])) \
+                 distribute dist_schedule(target:[{kind}], CUTOFF({pct}%))"
+            );
+            let d = parse_directive(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let compiled = compile(&[&d], &env, &types, &CompileOptions::for_loop("axpy", 1_000));
+            if pct >= 100 {
+                let want = CompileError::InvalidCutoff(pct as f64 / 100.0);
+                assert_eq!(compiled.unwrap_err(), want, "{kind} CUTOFF({pct}%)");
+                continue;
+            }
+            let reg = compiled.unwrap_or_else(|e| panic!("{kind} CUTOFF({pct}%): {e}"));
+            let mut rt = Runtime::new(machine.clone(), 42);
+            let mut k = CoverageKernel::new(1_000);
+            rt.offload(&reg, &mut k).run().unwrap_or_else(|e| panic!("{kind} CUTOFF({pct}%): {e}"));
+            k.assert_exactly_once(&format!("{kind} CUTOFF({pct}%)"));
         }
     }
 }
