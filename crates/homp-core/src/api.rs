@@ -48,6 +48,7 @@
 use crate::compile::{
     compile, compile_data_region, compile_update, CompileError, CompileOptions,
 };
+use crate::map::PlanError;
 use crate::offload::OffloadRegion;
 use crate::pipeline::{Pipeline, PipelineKernel, PipelineReport};
 use crate::runtime::{
@@ -235,7 +236,9 @@ impl Homp {
         let width = array.halo.get(dim).copied().flatten().ok_or_else(|| {
             HompError::HaloExchange(format!("array `{var}` was mapped without halo(…)"))
         })?;
-        let slab = array.slab_bytes(dim);
+        // A send moves at most `width` rows.
+        let slab = array.slab_bytes(dim).filter(|b| b.checked_mul(width).is_some());
+        let slab = slab.ok_or_else(|| OffloadError::Plan(PlanError::Overflow(var.clone())))?;
         Ok(self.runtime.exchange_halo(&region.devices, dist, width, slab))
     }
 

@@ -31,9 +31,10 @@ pub struct ArrayMap {
 }
 
 impl ArrayMap {
-    /// Total bytes of the whole array.
-    pub fn total_bytes(&self) -> u64 {
-        self.dims.iter().product::<u64>() * self.elem_bytes
+    /// Total bytes of the whole array; `None` when the count exceeds
+    /// `u64`.
+    pub fn total_bytes(&self) -> Option<u64> {
+        checked_bytes(self.elem_bytes, &self.dims, None)
     }
 
     /// Index of the (single) non-FULL dimension, if any. HOMP allows one
@@ -43,11 +44,10 @@ impl ArrayMap {
     }
 
     /// Bytes per index of dimension `dim` (the "row" size): the product
-    /// of all other dimensions times the element size.
-    pub fn slab_bytes(&self, dim: usize) -> u64 {
-        let others: u64 =
-            self.dims.iter().enumerate().filter(|(i, _)| *i != dim).map(|(_, d)| *d).product();
-        others * self.elem_bytes
+    /// of all other dimensions times the element size; `None` when it
+    /// exceeds `u64`.
+    pub fn slab_bytes(&self, dim: usize) -> Option<u64> {
+        checked_bytes(self.elem_bytes, &self.dims, Some(dim))
     }
 
     /// Whether the mapping copies data host→device before the region.
@@ -59,6 +59,16 @@ impl ArrayMap {
     pub fn copies_out(&self) -> bool {
         matches!(self.dir, MapDir::From | MapDir::ToFrom)
     }
+}
+
+/// `elem_bytes` times every extent in `dims` but `skip`, exactly: a zero
+/// factor anywhere makes it zero, however large the others.
+fn checked_bytes(elem_bytes: u64, dims: &[u64], skip: Option<usize>) -> Option<u64> {
+    let mut factors = dims.iter().enumerate().filter(|&(i, _)| Some(i) != skip).map(|(_, &d)| d);
+    if elem_bytes == 0 || factors.clone().any(|d| d == 0) {
+        return Some(0);
+    }
+    factors.try_fold(elem_bytes, u64::checked_mul)
 }
 
 /// A lowered offload region.
@@ -307,12 +317,35 @@ mod tests {
             partition: vec![DistPolicy::Block, DistPolicy::Full],
             halo: vec![Some(1), None],
         };
-        assert_eq!(a.total_bytes(), 100 * 50 * 8);
+        assert_eq!(a.total_bytes(), Some(100 * 50 * 8));
         assert_eq!(a.distributed_dim(), Some(0));
-        assert_eq!(a.slab_bytes(0), 50 * 8);
-        assert_eq!(a.slab_bytes(1), 100 * 8);
+        assert_eq!(a.slab_bytes(0), Some(50 * 8));
+        assert_eq!(a.slab_bytes(1), Some(100 * 8));
         assert!(a.copies_in());
         assert!(a.copies_out());
+    }
+
+    #[test]
+    fn byte_counts_past_u64_are_none() {
+        let a = |dims: Vec<u64>, elem_bytes| ArrayMap {
+            name: "a".into(),
+            dir: MapDir::To,
+            partition: vec![DistPolicy::Full; dims.len()],
+            halo: vec![None; dims.len()],
+            dims,
+            elem_bytes,
+        };
+        let square = a(vec![1 << 32, 1 << 32], 8);
+        assert_eq!(square.total_bytes(), None);
+        assert_eq!(square.slab_bytes(1), Some(1 << 35));
+        assert_eq!(a(vec![1 << 32, 1 << 32], 1).total_bytes(), None);
+        assert_eq!(a(vec![1 << 31, 1 << 32], 1).total_bytes(), Some(1 << 63));
+        // A zero factor makes the exact product zero, however large the
+        // others.
+        let empty = a(vec![1 << 40, 1 << 40, 0], 8);
+        assert_eq!(empty.total_bytes(), Some(0));
+        assert_eq!(empty.slab_bytes(2), None);
+        assert_eq!(a(vec![1 << 40, 1 << 40], 0).total_bytes(), Some(0));
     }
 
     #[test]
