@@ -146,6 +146,15 @@ pub enum CompileError {
     NotTargetUpdate,
     /// A `CUTOFF(p%)` ratio outside `[0, 1)`, i.e. `p` of 100 or more.
     InvalidCutoff(f64),
+    /// A schedule percentage outside its range: `SCHED_DYNAMIC`,
+    /// `SCHED_GUIDED`, `SCHED_PROFILE_AUTO` and `MODEL_PROFILE_AUTO`
+    /// take `(0, 100]`, `WORK_ASSIST` takes `[0, 100]`.
+    InvalidPercent {
+        /// `chunk_pct`, `sample_pct` or `min_assist_pct`.
+        param: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl From<EvalError> for CompileError {
@@ -176,6 +185,10 @@ impl std::fmt::Display for CompileError {
                 write!(f, "directive is not a `target update` construct")
             }
             CompileError::InvalidCutoff(r) => write!(f, "CUTOFF ratio {r} is outside [0, 1)"),
+            CompileError::InvalidPercent { param, value } => {
+                let range = if *param == "min_assist_pct" { "[0, 100]" } else { "(0, 100]" };
+                write!(f, "{param} = {value}% is outside {range}")
+            }
         }
     }
 }
@@ -238,6 +251,9 @@ pub fn compile(
                         .expect("non-ALIGN kinds lower to algorithms");
                     if let Some(r) = algorithm.invalid_cutoff() {
                         return Err(CompileError::InvalidCutoff(r));
+                    }
+                    if let Some((param, value)) = algorithm.invalid_pct() {
+                        return Err(CompileError::InvalidPercent { param, value });
                     }
                 }
             }

@@ -44,12 +44,14 @@ pub enum Algorithm {
     Block,
     /// Dynamic chunking: fixed-size chunks grabbed on completion.
     Dynamic {
-        /// Chunk size as a percentage of the trip count.
+        /// Chunk size as a percentage of the trip count, in `(0, 100]`;
+        /// rounded to the nearest iteration, at least one.
         chunk_pct: f64,
     },
     /// Guided chunking: geometrically shrinking chunks.
     Guided {
-        /// First-chunk size as a percentage of the trip count.
+        /// First-chunk size as a percentage of the trip count, in
+        /// `(0, 100]`.
         chunk_pct: f64,
     },
     /// Compute-only analytical model.
@@ -64,14 +66,15 @@ pub enum Algorithm {
     },
     /// Two-stage profiling, equal sample sizes in stage 1.
     ProfileConst {
-        /// Stage-1 sample size as a percentage of the trip count.
+        /// Stage-1 sample size as a percentage of the trip count, in
+        /// `(0, 100]`.
         sample_pct: f64,
         /// CUTOFF ratio applied to stage-2 shares.
         cutoff: Option<f64>,
     },
     /// Two-stage profiling, stage-1 sizes chosen by MODEL_2.
     ProfileModel {
-        /// Stage-1 total sample percentage.
+        /// Stage-1 total sample percentage, in `(0, 100]`.
         sample_pct: f64,
         /// CUTOFF ratio applied to stage-2 shares.
         cutoff: Option<f64>,
@@ -85,7 +88,8 @@ pub enum Algorithm {
     /// devices that drain their share steal the unexecuted tail of the
     /// predicted straggler, moving only the stolen span's bytes.
     WorkAssist {
-        /// Smallest stealable tail as a percentage of the trip count.
+        /// Smallest stealable tail as a percentage of the trip count, in
+        /// `[0, 100]` (0: any tail of at least one iteration).
         min_assist_pct: f64,
         /// CUTOFF ratio applied to the initial shares.
         cutoff: Option<f64>,
@@ -217,6 +221,28 @@ impl Algorithm {
     /// ratios in that range.
     pub(crate) fn invalid_cutoff(&self) -> Option<f64> {
         self.cutoff().filter(|r| !(0.0..1.0).contains(r))
+    }
+
+    /// The algorithm's scheduling percentage when it lies outside its
+    /// range, NaN included, as `(parameter, value)`. `chunk_pct` and
+    /// `sample_pct` lie in `(0, 100]`: 0 % would mean one-iteration
+    /// chunks or samples, more than 100 % a chunk or sample larger than
+    /// the loop. `min_assist_pct` lies in `[0, 100]`: 0 % lets an
+    /// assistant steal any tail of at least one iteration.
+    pub(crate) fn invalid_pct(&self) -> Option<(&'static str, f64)> {
+        let (param, pct, zero_ok) = match *self {
+            Algorithm::Dynamic { chunk_pct } | Algorithm::Guided { chunk_pct } => {
+                ("chunk_pct", chunk_pct, false)
+            }
+            Algorithm::ProfileConst { sample_pct, .. }
+            | Algorithm::ProfileModel { sample_pct, .. } => ("sample_pct", sample_pct, false),
+            Algorithm::WorkAssist { min_assist_pct, .. } => {
+                ("min_assist_pct", min_assist_pct, true)
+            }
+            _ => return None,
+        };
+        let valid = pct <= 100.0 && (pct > 0.0 || (zero_ok && pct == 0.0));
+        (!valid).then_some((param, pct))
     }
 
     /// Return a copy with the CUTOFF ratio set (no-op for chunk
