@@ -3,8 +3,7 @@
 //! Unlike the figure binaries, this bench regenerates nothing from the
 //! paper — it pushes the discrete-event core as hard as possible and
 //! reports how many engine operations per wall-second it sustains, so
-//! engine regressions are visible PR-over-PR in `BENCH_engine.json`
-//! (the events/sec sibling of `BENCH_harness.json`).
+//! engine regressions are visible PR-over-PR in `BENCH_engine.json`.
 //!
 //! Three scenarios on a 64-device machine (two K40s per bus group, so
 //! the bus calendar is exercised on every transfer):

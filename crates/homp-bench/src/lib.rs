@@ -90,10 +90,6 @@ pub fn count_cells(n: u64) {
 /// ```text
 /// [harness] name=fig5 wall_s=1.234 jobs=4 cells=42
 /// ```
-///
-/// The `bench_report` binary launches each figure binary, parses this
-/// line, and aggregates the wall-clock numbers into
-/// `BENCH_harness.json`.
 pub fn experiment(name: &str, f: impl FnOnce()) {
     let start = std::time::Instant::now();
     f();
