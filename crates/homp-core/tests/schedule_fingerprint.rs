@@ -21,8 +21,10 @@
 //! decisions, counts, chunks, fault summary and makespan/completion
 //! bits, and the pipeline's makespan, completion and barrier-sum bits.
 //!
-//! On a mismatch the test prints every actual line; after checking that
-//! a schedule change is intended, paste them into the golden file.
+//! On a mismatch the test first prints how many cells differ in each
+//! algorithm column (or how many pipeline lines differ), then every
+//! actual line; after checking that a schedule change is intended,
+//! paste them into the golden file.
 
 use homp_core::testing::{assert_decisions_partition, CoverageKernel};
 use homp_core::{
@@ -404,9 +406,35 @@ fn pipeline_lines() -> Vec<String> {
     lines
 }
 
+/// How many cells differ in each algorithm column of the single-region
+/// lines, paired by position, as `key count` pairs in column order;
+/// columns sharing an `Algorithm::key()` are summed.
+fn differing_cells(actual: &[String], expected: &[&str]) -> String {
+    // Machine, fault script, variant and offload mode, then the hashes.
+    fn hashes(line: &str) -> impl Iterator<Item = &str> {
+        line.split_whitespace().skip(4)
+    }
+    let keys: Vec<String> = algorithms().iter().map(Algorithm::key).collect();
+    let mut per_key: Vec<(&str, usize)> = Vec::new();
+    for key in &keys {
+        if !per_key.iter().any(|(k, _)| k == key) {
+            per_key.push((key, 0));
+        }
+    }
+    for (a, e) in actual.iter().zip(expected) {
+        for (key, (ha, he)) in keys.iter().zip(hashes(a).zip(hashes(e))) {
+            if ha != he {
+                per_key.iter_mut().find(|(k, _)| k == key).expect("listed above").1 += 1;
+            }
+        }
+    }
+    let cells: Vec<String> = per_key.iter().map(|(k, n)| format!("{k} {n}")).collect();
+    cells.join(", ")
+}
+
 /// Compare `actual` with the golden lines of one section (pipeline
-/// lines start with `pipeline`), printing every actual line on a
-/// mismatch.
+/// lines start with `pipeline`). On a mismatch, print its scope in one
+/// line, then every actual line.
 fn assert_matches_golden(actual: &[String], pipeline: bool) {
     let expected: Vec<&str> = GOLDEN
         .lines()
@@ -416,6 +444,11 @@ fn assert_matches_golden(actual: &[String], pipeline: bool) {
     let differing = actual.iter().zip(&expected).filter(|(a, e)| a.as_str() != **e).count()
         + actual.len().abs_diff(expected.len());
     if differing > 0 {
+        if pipeline {
+            println!("{differing} pipeline lines differ");
+        } else {
+            println!("differing cells per algorithm: {}", differing_cells(actual, &expected));
+        }
         println!("---- actual schedule fingerprints ----");
         for line in actual {
             println!("{line}");
