@@ -259,17 +259,21 @@ impl DataEnv {
     }
 
     /// Forget the recorded residency of `region`'s arrays without
-    /// releasing their allocations, and clear their dirty bits.
+    /// releasing their allocations, clear their dirty bits, and count
+    /// the `deferred` copy-back bytes `plan_static` recorded for this
+    /// offload as moved instead of elided.
     ///
-    /// The work-assisting scheduler calls this after a run in which
-    /// steals fired: final per-device ownership then differs from the
-    /// static split `plan_static` recorded (stolen tails computed — and
-    /// copied back — on the thief, not the planned owner), so the next
-    /// offload must not elide transfers against the stale intervals.
-    /// The assisted run charges its copy-backs eagerly instead of
-    /// deferring them to region close, which is why the dirty bit is
-    /// cleared along with the spans.
-    pub(crate) fn invalidate_residency(&mut self, region: &OffloadRegion) {
+    /// The work-assisting scheduler calls this after a run in which a
+    /// steal or adoption fired: final per-device ownership then differs
+    /// from the static split `plan_static` recorded (stolen tails
+    /// computed — and copied back — on the thief, not the planned
+    /// owner), so the next offload must not elide transfers against the
+    /// stale intervals. Such a run charges its copy-backs eagerly
+    /// instead of deferring them to region close: nothing is left dirty,
+    /// and the deferred bytes went over the bus.
+    pub(crate) fn invalidate_residency(&mut self, region: &OffloadRegion, deferred: u64) {
+        self.stats.d2h_elided_bytes -= deferred;
+        self.stats.d2h_bytes += deferred;
         for a in &region.arrays {
             if let Some(e) = self.entries.get_mut(&a.name) {
                 e.resident.clear();
