@@ -3,7 +3,7 @@
 //!
 //! "Luk et al. use historical execution to project the execution time
 //! of a given problem size." Every offload already measures each
-//! device's kernel throughput; this module persists those measurements
+//! device's throughput; this module persists those measurements
 //! per `(kernel, device)` and fits the paper's Equation 1 —
 //! `T = g_i(N)`, taken as affine `T = a + b·N` — by least squares.
 //! Once a kernel has history on every participating device, the
@@ -102,9 +102,10 @@ impl HistoryDb {
         Self::default()
     }
 
-    /// Record a measured execution: `iters` of `kernel` took `seconds`
-    /// on `device` (kernel time only, transfers excluded — the Hockney
-    /// model already predicts those well).
+    /// Record a measured execution: `iters` of `kernel` kept `device`
+    /// busy for `seconds`. The runtime records the busiest of the
+    /// device's upload, kernel and download time, the resource that
+    /// bounds the throughput of a device streaming chunks.
     pub fn record(&mut self, kernel: &str, device: DeviceId, iters: u64, seconds: f64) {
         if iters == 0 || seconds <= 0.0 {
             return;
