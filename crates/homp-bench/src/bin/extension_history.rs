@@ -4,7 +4,7 @@
 //! Repeated offloads of the same kernel — a common pattern in iterative
 //! applications — let the runtime learn each device's true throughput.
 //! This binary shows the convergence: offload k's time under
-//! `offload_learned`, against the static MODEL_1 / MODEL_2 baselines.
+//! `.history(&mut db)`, against the static MODEL_1 / MODEL_2 baselines.
 
 use homp_bench::{experiment, jobs, par_map, write_artifact, SEED};
 use homp_core::history::HistoryDb;
@@ -41,7 +41,7 @@ fn run() {
             let reps = (0..6)
                 .map(|_| {
                     let mut k = PhantomKernel::new(spec.intensity());
-                    rt.offload_learned(&region, &mut k, &mut db).unwrap()
+                    rt.offload(&region, &mut k).history(&mut db).run().unwrap()
                 })
                 .collect();
             (m1, m2, reps)

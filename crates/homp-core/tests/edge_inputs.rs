@@ -6,6 +6,7 @@
 //! percentage outside its range under every algorithm that takes one,
 //! and mapped sizes whose byte counts overflow `u64`.
 
+use homp_core::history::HistoryDb;
 use homp_core::testing::{assert_decisions_partition, CoverageKernel};
 use homp_core::{
     compile, Algorithm, CompileError, CompileOptions, FnPipelineKernel, OffloadError,
@@ -51,11 +52,16 @@ fn a_region_without_devices_is_a_typed_error() {
             OffloadError::NoDevices,
             "{alg} at(t)"
         );
-        let mut db = homp_core::history::HistoryDb::new();
+        let mut db = HistoryDb::new();
         assert_eq!(
-            rt.offload_learned(&r, &mut k, &mut db).unwrap_err(),
+            rt.offload(&r, &mut k).history(&mut db).run().unwrap_err(),
             OffloadError::NoDevices,
             "{alg} learned"
+        );
+        assert_eq!(
+            rt.offload(&r, &mut k).history(&mut db).at(at).run().unwrap_err(),
+            OffloadError::NoDevices,
+            "{alg} learned at(t)"
         );
         assert!(k.hits.iter().all(|&h| h == 0), "{alg}: nothing may execute");
     }
@@ -87,8 +93,11 @@ fn a_region_naming_a_device_twice_is_a_typed_error() {
         assert_eq!(rt.offload(&r, &mut k).run().unwrap_err(), dup, "{alg}");
         let at = SimTime::from_secs(1e-3);
         assert_eq!(rt.offload(&r, &mut k).at(at).run().unwrap_err(), dup, "{alg} at(t)");
-        let mut db = homp_core::history::HistoryDb::new();
-        assert_eq!(rt.offload_learned(&r, &mut k, &mut db).unwrap_err(), dup, "{alg} learned");
+        let mut db = HistoryDb::new();
+        let learned = rt.offload(&r, &mut k).history(&mut db).run().unwrap_err();
+        assert_eq!(learned, dup, "{alg} learned");
+        let learned = rt.offload(&r, &mut k).history(&mut db).at(at).run().unwrap_err();
+        assert_eq!(learned, dup, "{alg} learned at(t)");
         assert!(k.hits.iter().all(|&h| h == 0), "{alg}: nothing may execute");
     }
     // Every pipeline stage is checked, in either executor.
@@ -153,8 +162,8 @@ fn with_cutoff(ratio: f64) -> [Algorithm; 6] {
 }
 
 /// Offload `reg` through every entry point that checks a region: a
-/// plain offload, `.at(t)`, `offload_learned`, and the second stage of
-/// a pipeline in either executor. Each must fail, before anything runs,
+/// plain offload, `.at(t)`, `.history(db)` with either, and the second
+/// stage of a pipeline in either executor. Each must fail, before anything runs,
 /// with an error `rejects` accepts.
 fn assert_rejected_everywhere(
     reg: &OffloadRegion,
@@ -166,8 +175,11 @@ fn assert_rejected_everywhere(
     assert!(rejects(rt.offload(reg, &mut k).run().unwrap_err()), "{label}");
     let at = SimTime::from_secs(1e-3);
     assert!(rejects(rt.offload(reg, &mut k).at(at).run().unwrap_err()), "{label} at(t)");
-    let mut db = homp_core::history::HistoryDb::new();
-    assert!(rejects(rt.offload_learned(reg, &mut k, &mut db).unwrap_err()), "{label} learned");
+    let mut db = HistoryDb::new();
+    let learned = rt.offload(reg, &mut k).history(&mut db).run().unwrap_err();
+    assert!(rejects(learned), "{label} learned");
+    let learned = rt.offload(reg, &mut k).history(&mut db).at(at).run().unwrap_err();
+    assert!(rejects(learned), "{label} learned at(t)");
     assert!(k.hits.iter().all(|&h| h == 0), "{label}: nothing may execute");
 
     let intensity = KernelIntensity {
