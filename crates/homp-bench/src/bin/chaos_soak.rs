@@ -16,7 +16,7 @@
 //! run is pinned as a golden (`results/golden/chaos_soak_seed42.json`)
 //! and must be byte-identical at any `HOMP_BENCH_JOBS` value.
 
-use homp_bench::{count_cells, count_sim, experiment, jobs, par_map, seed_from_args, write_artifact};
+use homp_bench::{count_cells, experiment, jobs, par_map, seed_from_args, write_artifact};
 use homp_core::{Algorithm, FaultConfig, FnKernel, OffloadRegion, Range, Runtime};
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
@@ -165,7 +165,6 @@ fn run_cell(
         rt.offload(&region(alg), &mut k).run()
             .unwrap_or_else(|e| panic!("{label}: offload must survive the schedule: {e}"))
     };
-    count_sim(&report);
     assert!(hits.iter().all(|&h| h == 1), "{label}: every iteration exactly once");
     assert_eq!(y, expected, "{label}: output must be bitwise-identical to the serial run");
     assert_eq!(

@@ -106,7 +106,6 @@ fn run() {
     let mut k = PhantomKernel::new(spec.intensity());
     let report = rt.offload(&region, &mut k).run().expect("offload");
     homp_bench::count_cells(1);
-    homp_bench::count_sim(&report);
 
     match format {
         Format::Text => print!("{}", report.run_report().to_text()),

@@ -48,31 +48,9 @@ pub fn seed_from_args() -> u64 {
 /// denominator.
 static CELLS: AtomicU64 = AtomicU64::new(0);
 
-/// Trace events recorded by all offloads so far (integer adds only, so
-/// the totals are identical no matter how `par_map` interleaves cells).
-static SIM_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Simulated virtual time accumulated by all offloads so far, in whole
-/// nanoseconds (integers for the same order-independence reason).
-static SIM_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Environment variable that opts in to the `[metrics]` stderr line
-/// printed by [`experiment`].
-pub const METRICS_ENV: &str = "HOMP_BENCH_METRICS";
-
 /// Number of grid cells simulated so far in this process.
 pub fn cells_simulated() -> u64 {
     CELLS.load(Ordering::Relaxed)
-}
-
-/// Credit one offload's trace toward the process-wide simulation
-/// counters reported by [`experiment`]'s `[metrics]` line. [`run_one`]
-/// and [`try_run_one`] call this themselves; bespoke sweeps that drive
-/// `Runtime::offload` directly should call it per offload (as they call
-/// [`count_cells`]).
-pub fn count_sim(report: &OffloadReport) {
-    SIM_EVENTS.fetch_add(report.trace.events().len() as u64, Ordering::Relaxed);
-    SIM_NANOS.fetch_add((report.makespan.as_secs() * 1e9).round() as u64, Ordering::Relaxed);
 }
 
 /// Count `n` additional cells toward [`cells_simulated`] — for bespoke
@@ -99,18 +77,6 @@ pub fn experiment(name: &str, f: impl FnOnce()) {
         jobs(),
         cells_simulated()
     );
-    // Opt-in observability line: simulated-event throughput. The counts
-    // are integer accumulations, so they are byte-identical across jobs
-    // values; wall-clock-derived rates of course are not.
-    if std::env::var_os(METRICS_ENV).is_some_and(|v| v != "0") {
-        let events = SIM_EVENTS.load(Ordering::Relaxed);
-        let sim_s = SIM_NANOS.load(Ordering::Relaxed) as f64 / 1e9;
-        eprintln!(
-            "[metrics] name={name} sim_events={events} sim_time_s={sim_s:.6} \
-             events_per_wall_s={:.1}",
-            events as f64 / wall
-        );
-    }
 }
 
 /// One cell of a result grid.
@@ -160,7 +126,6 @@ pub fn run_one(machine: &Machine, spec: KernelSpec, alg: Algorithm, seed: u64) -
         let mut kernel = PhantomKernel::new(spec.intensity());
         let report = rt.offload(&region, &mut kernel).run().expect("offload");
         assert_eq!(kernel.executed(), spec.trip_count(), "harness must cover the loop");
-        count_sim(&report);
         reports.push(report);
     }
     reports.sort_by(|a, b| a.makespan.partial_cmp(&b.makespan).unwrap());
@@ -188,7 +153,6 @@ pub fn try_run_one(
     let mut kernel = PhantomKernel::new(spec.intensity());
     let out = match rt.offload(&region, &mut kernel).run() {
         Ok(report) => {
-            count_sim(&report);
             Some(Cell { kernel: spec.label(), algorithm: alg.to_string(), key: alg.key(), report })
         }
         Err(homp_core::OffloadError::OutOfDeviceMemory { .. }) => None,
