@@ -90,35 +90,27 @@ impl std::fmt::Display for OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabelId(u32);
 
-impl LabelId {
-    /// Sentinel id used at [`TraceLevel::Spans`], where events skip the
-    /// label table entirely. Resolves to the empty string.
-    pub const UNLABELED: LabelId = LabelId(u32::MAX);
-}
-
-/// How much the trace records per simulated operation.
+/// Whether the trace records simulated operations.
 ///
 /// The recorder sits on the hottest path of the simulator — every
 /// transfer, kernel, and barrier appends one event — so scheduling-only
-/// workloads (parameter sweeps, torture benches) can dial recording
-/// down without touching the calendar math: the virtual clock, noise
-/// draw order, and scheduling decisions are bit-identical at every
-/// level.
+/// workloads (parameter sweeps, torture benches) can switch recording
+/// off without touching the calendar math: the virtual clock, noise
+/// draw order, and scheduling decisions are bit-identical at both
+/// levels, and so is the per-device busy time the engine sums for
+/// every op ([`Engine::busy`](crate::Engine::busy)), which learned
+/// offloads read.
 ///
-/// What the lower levels give up is trace-*derived* observability:
-/// at [`TraceLevel::Off`] a [`Breakdown`] folds an empty event list,
-/// so utilization, per-kind busy times, and the imbalance metric all
-/// read zero even though the schedule they would have described is
+/// What [`TraceLevel::Off`] gives up is trace-*derived*
+/// observability: a [`Breakdown`] folds an empty event list, so
+/// utilization, per-kind busy times, and the imbalance metric all read
+/// zero even though the schedule they would have described is
 /// unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceLevel {
     /// Record nothing. `events()` stays empty; breakdowns and renders
     /// are vacuous. Cheapest: the append is skipped entirely.
     Off,
-    /// Record every event's device/kind/times/amount but skip label
-    /// interning; events carry [`LabelId::UNLABELED`]. Breakdowns,
-    /// makespan, and imbalance stay exact; only label text is lost.
-    Spans,
     /// Record everything, labels included. The default — existing
     /// goldens (CSV, Chrome JSON, reports) are byte-identical.
     #[default]
@@ -195,11 +187,7 @@ impl Trace {
     }
 
     /// Resolve an interned label id back to its text.
-    /// [`LabelId::UNLABELED`] resolves to the empty string.
     pub fn label(&self, id: LabelId) -> &str {
-        if id == LabelId::UNLABELED {
-            return "";
-        }
         &self.labels[id.0 as usize]
     }
 
@@ -214,11 +202,10 @@ impl Trace {
         label: &str,
     ) {
         debug_assert!(end >= start, "event ends before it starts");
-        let label = match self.level {
-            TraceLevel::Off => return,
-            TraceLevel::Spans => LabelId::UNLABELED,
-            TraceLevel::Full => self.intern(label),
-        };
+        if self.level == TraceLevel::Off {
+            return;
+        }
+        let label = self.intern(label);
         self.events.push(TraceEvent { device, kind, start, end, amount, label });
     }
 
@@ -269,29 +256,15 @@ impl Trace {
     /// Events are appended as-is (absolute times, recording order), so
     /// absorbing traces produced on a shared calendar yields a merged
     /// trace whose [`Trace::breakdown`] and utilization math see the
-    /// true machine timeline. Respects this trace's [`TraceLevel`]:
-    /// `Off` absorbs nothing, `Spans` drops the labels.
+    /// true machine timeline. A trace at [`TraceLevel::Off`] absorbs
+    /// nothing.
     pub fn absorb(&mut self, other: &Trace) {
-        match self.level {
-            TraceLevel::Off => {}
-            TraceLevel::Spans => {
-                self.events.extend(
-                    other.events.iter().map(|e| TraceEvent { label: LabelId::UNLABELED, ..*e }),
-                );
-            }
-            TraceLevel::Full => {
-                let map: Vec<LabelId> =
-                    other.labels.iter().map(|l| self.intern(l)).collect();
-                self.events.extend(other.events.iter().map(|e| TraceEvent {
-                    label: if e.label == LabelId::UNLABELED {
-                        LabelId::UNLABELED
-                    } else {
-                        map[e.label.0 as usize]
-                    },
-                    ..*e
-                }));
-            }
+        if self.level == TraceLevel::Off {
+            return;
         }
+        let map: Vec<LabelId> = other.labels.iter().map(|l| self.intern(l)).collect();
+        let relabel = |e: &TraceEvent| TraceEvent { label: map[e.label.0 as usize], ..*e };
+        self.events.extend(other.events.iter().map(relabel));
     }
 
     /// Capacity of the event buffer — retained across [`Trace::clear`]
@@ -847,17 +820,10 @@ mod tests {
         off.absorb(&src);
         assert!(off.is_empty());
 
-        let mut spans = Trace::with_level(TraceLevel::Spans);
-        spans.absorb(&src);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans.label_count(), 0);
-        assert_eq!(spans.events()[0].label, LabelId::UNLABELED);
-
-        // Absorbing an unlabeled trace into a Full one keeps UNLABELED.
         let mut full = Trace::new();
-        full.absorb(&spans);
-        assert_eq!(full.events()[0].label, LabelId::UNLABELED);
-        assert_eq!(full.label_count(), 0);
+        full.absorb(&src);
+        assert_eq!(full.len(), 1);
+        assert_eq!(full.label(full.events()[0].label), "axpy");
     }
 
     #[test]
@@ -867,24 +833,6 @@ mod tests {
         assert!(tr.is_empty());
         assert_eq!(tr.label_count(), 0, "no interning at Off");
         assert_eq!(tr.level(), TraceLevel::Off);
-    }
-
-    #[test]
-    fn level_spans_keeps_times_drops_labels() {
-        let mut full = Trace::new();
-        let mut spans = Trace::with_level(TraceLevel::Spans);
-        for tr in [&mut full, &mut spans] {
-            tr.record(0, OpKind::Kernel, t(0.0), t(3.0), 5, "axpy");
-            tr.record(1, OpKind::H2D, t(0.0), t(1.0), 64, "chunk-in");
-        }
-        assert_eq!(spans.len(), full.len());
-        assert_eq!(spans.label_count(), 0, "no interning at Spans");
-        assert_eq!(spans.label(spans.events()[0].label), "");
-        // Breakdown math is identical to Full.
-        let (bf, bs) = (full.breakdown(2), spans.breakdown(2));
-        assert_eq!(bs.makespan(), bf.makespan());
-        assert_eq!(bs.busy(0, OpKind::Kernel), bf.busy(0, OpKind::Kernel));
-        assert_eq!(bs.imbalance_pct(), bf.imbalance_pct());
     }
 
     #[test]
