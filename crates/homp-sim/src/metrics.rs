@@ -362,6 +362,26 @@ impl Metrics {
     }
 }
 
+/// The paper's load-imbalance metric: the mean over participating
+/// (non-zero) completions of `(total − completion) / total`, as a
+/// percentage. `0.0` when `total` is not positive or nothing
+/// participated.
+pub(crate) fn imbalance_pct(total: f64, completions: impl Iterator<Item = f64>) -> f64 {
+    if total <= 0.0 {
+        return 0.0;
+    }
+    let (mut sum, mut n) = (0.0, 0usize);
+    for c in completions.filter(|c| *c > 0.0) {
+        sum += (total - c) / total * 100.0;
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
 /// Max/min completion-time ratio over the participating (non-zero)
 /// completions — the Table IV/V load-balance metric. `1.0` with fewer
 /// than two participants.

@@ -97,15 +97,16 @@ pub struct LabelId(u32);
 /// workloads (parameter sweeps, torture benches) can switch recording
 /// off without touching the calendar math: the virtual clock, noise
 /// draw order, and scheduling decisions are bit-identical at both
-/// levels, and so is the per-device busy time the engine sums for
-/// every op ([`Engine::busy`](crate::Engine::busy)), which learned
-/// offloads read.
+/// levels, and so are the per-device busy time and completions the
+/// engine keeps for every op ([`Engine::busy`](crate::Engine::busy),
+/// which learned offloads read, and
+/// [`Engine::imbalance_pct`](crate::Engine::imbalance_pct), which an
+/// offload reports).
 ///
 /// What [`TraceLevel::Off`] gives up is trace-*derived*
 /// observability: a [`Breakdown`] folds an empty event list, so
-/// utilization, per-kind busy times, and the imbalance metric all read
-/// zero even though the schedule they would have described is
-/// unchanged.
+/// utilization, per-kind busy times, and its imbalance all read zero
+/// even though the schedule they would have described is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceLevel {
     /// Record nothing. `events()` stays empty; breakdowns and renders
@@ -479,18 +480,8 @@ impl Breakdown {
     /// `(makespan − completion_d) / makespan`, as a percentage. Devices
     /// that did no work at all are excluded (CUTOFF removed them).
     pub fn imbalance_pct(&self) -> f64 {
-        let total = self.makespan.as_secs();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let participants: Vec<&SimTime> =
-            self.completion.iter().filter(|c| c.as_secs() > 0.0).collect();
-        if participants.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 =
-            participants.iter().map(|c| (total - c.as_secs()) / total * 100.0).sum();
-        sum / participants.len() as f64
+        let completions = self.completion.iter().map(SimTime::as_secs);
+        crate::metrics::imbalance_pct(self.makespan.as_secs(), completions)
     }
 
     /// The paper's Table IV/V load-balance metric: the ratio of the
