@@ -133,6 +133,44 @@ fn reset_with_seed_matches_freshly_built_runtime() {
 }
 
 #[test]
+fn a_probation_does_not_outlive_reset_with_seed() {
+    // Device 2 drops a quarter of the way into a compute-bound DYNAMIC
+    // offload and comes back before the halfway mark, so the chunked
+    // path probes it and puts it on probation. Rewound with
+    // `reset_with_seed` and its faults cleared, the runtime must plan
+    // the next static splits exactly as a fresh one does.
+    let heavy = KernelIntensity { flops_per_iter: 50_000.0, ..intensity() };
+    let n = 100_000u64;
+    let offload = |rt: &mut Runtime, alg: Algorithm| {
+        let mut k = FnKernel::new(heavy, |_r: Range| {});
+        rt.offload(&region(n, alg), &mut k).run().unwrap()
+    };
+    let dynamic = Algorithm::Dynamic { chunk_pct: 2.0 };
+    let healthy = offload(&mut Runtime::new(Machine::four_k40(), 42), dynamic).makespan.as_secs();
+    let plan = homp_sim::FaultPlan::new(7)
+        .with_dropout_at(2, healthy * 0.25)
+        .with_recovery_at(2, healthy * 0.45);
+    for alg in [Algorithm::Model1 { cutoff: None }, Algorithm::Model2 { cutoff: None }] {
+        let faults = FaultConfig::new(plan.clone());
+        let mut reused = Runtime::with_fault_config(Machine::four_k40(), 42, faults);
+        reused.set_decision_log(true);
+        let probed = offload(&mut reused, dynamic);
+        assert!(
+            probed.decisions.iter().any(|d| d.note == Some("quarantined->probation")),
+            "device 2 must go through probation"
+        );
+        reused.set_decision_log(false);
+        reused.reset_with_seed(42);
+        reused.set_fault_config(FaultConfig::none());
+        let rep = offload(&mut reused, alg);
+        let fresh = offload(&mut Runtime::new(Machine::four_k40(), 42), alg);
+        assert_eq!(rep.counts, fresh.counts, "{alg}: the split must not remember the probation");
+        assert_eq!(rep.makespan, fresh.makespan, "{alg}");
+        assert_eq!(rep.trace.to_csv(), fresh.trace.to_csv(), "{alg}");
+    }
+}
+
+#[test]
 fn inactive_device_plans_do_not_perturb_other_devices() {
     // A plan that names a device but can never fire (zero rates, no
     // dropout) still counts as "none" and must change nothing.
