@@ -358,36 +358,12 @@ impl FaultPlan {
         }
     }
 
-    /// Deterministic draw: does transfer number `seq` on `device` fail
-    /// transiently? Uses the base rate only; see
-    /// [`FaultPlan::dma_fault_at`] for window-aware draws.
-    pub fn dma_fault(&self, device: DeviceId, seq: u64) -> bool {
-        match self.device(device) {
-            Some(p) => bernoulli(
-                &[self.seed, device as u64, seq, SALT_DMA],
-                p.transient_dma_rate,
-            ),
-            None => false,
-        }
-    }
-
-    /// Deterministic draw: does launch number `seq` on `device` hang?
-    /// Base rate only; see [`FaultPlan::launch_fault_at`].
-    pub fn launch_fault(&self, device: DeviceId, seq: u64) -> bool {
-        match self.device(device) {
-            Some(p) => bernoulli(
-                &[self.seed, device as u64, seq, SALT_LAUNCH],
-                p.launch_timeout_rate,
-            ),
-            None => false,
-        }
-    }
-
-    /// Like [`FaultPlan::dma_fault`], but with the transient rate raised
+    /// Deterministic draw: does transfer number `seq` on `device`,
+    /// starting at `at`, fail transiently? The base rate applies, raised
     /// to the flaky window's inside `[from, until)`. The draw uses the
-    /// same hash words as the base draw and `bernoulli` is monotone in
-    /// the rate, so outside the window (and whenever the window rate is
-    /// not higher) the outcome is identical to the base draw.
+    /// same hash words either way and `bernoulli` is monotone in the
+    /// rate, so outside the window (and whenever the window rate is not
+    /// higher) the outcome is the base-rate draw.
     #[inline]
     pub fn dma_fault_at(&self, device: DeviceId, seq: u64, at: SimTime) -> bool {
         match self.device(device) {
@@ -402,8 +378,9 @@ impl FaultPlan {
         }
     }
 
-    /// Like [`FaultPlan::launch_fault`], but window-aware (see
-    /// [`FaultPlan::dma_fault_at`]).
+    /// Deterministic draw: does launch number `seq` on `device`,
+    /// starting at `at`, hang? Window-aware like
+    /// [`FaultPlan::dma_fault_at`].
     #[inline]
     pub fn launch_fault_at(&self, device: DeviceId, seq: u64, at: SimTime) -> bool {
         match self.device(device) {
@@ -423,14 +400,18 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// An instant outside every flaky window below, where the draws use
+    /// the base rates.
+    const OUTSIDE: SimTime = SimTime::ZERO;
+
     #[test]
     fn empty_plan_is_none_and_never_faults() {
         let p = FaultPlan::none();
         assert!(p.is_none());
         for d in 0..8u32 {
             for s in 0..100u64 {
-                assert!(!p.dma_fault(d, s));
-                assert!(!p.launch_fault(d, s));
+                assert!(!p.dma_fault_at(d, s, OUTSIDE));
+                assert!(!p.launch_fault_at(d, s, OUTSIDE));
             }
         }
         assert_eq!(p.fail_at(0), None);
@@ -450,9 +431,9 @@ mod tests {
         let a = FaultPlan::new(7).with_transient_dma(1, 0.5);
         let b = FaultPlan::new(7).with_transient_dma(1, 0.5);
         let c = FaultPlan::new(8).with_transient_dma(1, 0.5);
-        let seq_a: Vec<bool> = (0..64).map(|s| a.dma_fault(1, s)).collect();
-        let seq_b: Vec<bool> = (0..64).map(|s| b.dma_fault(1, s)).collect();
-        let seq_c: Vec<bool> = (0..64).map(|s| c.dma_fault(1, s)).collect();
+        let seq_a: Vec<bool> = (0..64).map(|s| a.dma_fault_at(1, s, OUTSIDE)).collect();
+        let seq_b: Vec<bool> = (0..64).map(|s| b.dma_fault_at(1, s, OUTSIDE)).collect();
+        let seq_c: Vec<bool> = (0..64).map(|s| c.dma_fault_at(1, s, OUTSIDE)).collect();
         assert_eq!(seq_a, seq_b, "same seed replays identically");
         assert_ne!(seq_a, seq_c, "different seed diverges");
     }
@@ -462,16 +443,16 @@ mod tests {
         let always = FaultPlan::new(0).with_transient_dma(0, 1.0);
         let never = FaultPlan::new(0).with_transient_dma(0, 0.0);
         for s in 0..32 {
-            assert!(always.dma_fault(0, s));
-            assert!(!never.dma_fault(0, s));
+            assert!(always.dma_fault_at(0, s, OUTSIDE));
+            assert!(!never.dma_fault_at(0, s, OUTSIDE));
         }
     }
 
     #[test]
     fn dma_and_launch_draws_use_distinct_streams() {
         let p = FaultPlan::new(3).with_transient_dma(0, 0.5).with_launch_timeouts(0, 0.5);
-        let dma: Vec<bool> = (0..128).map(|s| p.dma_fault(0, s)).collect();
-        let launch: Vec<bool> = (0..128).map(|s| p.launch_fault(0, s)).collect();
+        let dma: Vec<bool> = (0..128).map(|s| p.dma_fault_at(0, s, OUTSIDE)).collect();
+        let launch: Vec<bool> = (0..128).map(|s| p.launch_fault_at(0, s, OUTSIDE)).collect();
         assert_ne!(dma, launch);
     }
 
@@ -479,7 +460,7 @@ mod tests {
     fn empirical_rate_tracks_configured_rate() {
         let p = FaultPlan::new(11).with_transient_dma(0, 0.25);
         let n = 20_000u64;
-        let hits = (0..n).filter(|&s| p.dma_fault(0, s)).count() as f64;
+        let hits = (0..n).filter(|&s| p.dma_fault_at(0, s, OUTSIDE)).count() as f64;
         let rate = hits / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "empirical rate {rate}");
     }
@@ -487,9 +468,9 @@ mod tests {
     #[test]
     fn faults_only_hit_scripted_devices() {
         let p = FaultPlan::new(5).with_transient_dma(2, 1.0);
-        assert!(p.dma_fault(2, 1));
-        assert!(!p.dma_fault(0, 1));
-        assert!(!p.dma_fault(1, 1));
+        assert!(p.dma_fault_at(2, 1, OUTSIDE));
+        assert!(!p.dma_fault_at(0, 1, OUTSIDE));
+        assert!(!p.dma_fault_at(1, 1, OUTSIDE));
     }
 
     #[test]
@@ -527,11 +508,13 @@ mod tests {
         for s in 0..512 {
             let inside = SimTime::from_secs(1.5);
             let outside = SimTime::from_secs(0.5);
-            if base.dma_fault(0, s) {
+            let base_fault = base.dma_fault_at(0, s, inside);
+            assert_eq!(base_fault, base.dma_fault_at(0, s, outside), "no window, one draw");
+            if base_fault {
                 assert!(flaky.dma_fault_at(0, s, inside), "window must keep base faults");
             }
             assert_eq!(
-                base.dma_fault(0, s),
+                base_fault,
                 flaky.dma_fault_at(0, s, outside),
                 "outside the window the draw is the base draw"
             );
