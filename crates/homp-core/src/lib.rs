@@ -65,7 +65,7 @@ pub use region::Range;
 pub use report::{ChunkDecision, PredictionSource, PredictionStats, RunReport};
 pub use runtime::{
     DataRegionReport, FaultConfig, FaultSummary, FnKernel, LoopKernel, OffloadBuilder,
-    OffloadError, OffloadReport, RetryPolicy, Runtime, RuntimeConfig, UpdateReport,
+    OffloadError, OffloadReport, Runtime, RuntimeConfig, UpdateReport,
 };
-pub use sched::health::{HealthPolicy, HealthState, HealthTracker, HealthTransition};
+pub use sched::health::{HealthState, HealthTracker, HealthTransition};
 pub use sched::Algorithm;

@@ -79,10 +79,34 @@ fn assert_same_run(
 /// - every device dropped at setup (the fingerprint's `all-quarantined`
 ///   plan), so no device is left to steal or adopt and the host runs
 ///   the loop: both machines, parallel and serialized, plain and
-///   dispatched at `t > 0`, at two trip counts.
+///   dispatched at `t > 0`, at two trip counts;
+/// - a serialized offload whose device 1 drops in the middle of its
+///   copy-back, after every compute committed: both paths start device
+///   2 at device 1's map-in end, with `min_assist_pct = 100`.
 #[test]
 fn disabled_steals_give_byte_identical_model2_traces() {
     let n = 80_000u64;
+    let machine = Machine::four_k40();
+    let serialized = |alg| region_builder(n, &machine, alg).serialized_offload().build();
+    let model2 = Algorithm::Model2 { cutoff: None };
+    let (healthy, _) = run(&mut Runtime::new(machine.clone(), 42), &serialized(model2), None);
+    let trace = &healthy.trace;
+    let out = trace
+        .events()
+        .iter()
+        .find(|e| e.device == 1 && e.kind == OpKind::D2H)
+        .expect("device 1 copies back");
+    let mid_copy_back = (out.start.as_secs() + out.end.as_secs()) / 2.0;
+    let plan = FaultPlan::new(1).with_dropout_at(1, mid_copy_back);
+    let runs = [Algorithm::WorkAssist { min_assist_pct: 100.0, cutoff: None }, model2].map(|alg| {
+        let faults = FaultConfig::new(plan.clone());
+        run(&mut Runtime::with_fault_config(machine.clone(), 42, faults), &serialized(alg), None)
+    });
+    let ctx = "serialized, device 1 dropped mid-copy-back";
+    assert_eq!(runs[0].0.faults.dropouts, vec![1], "{ctx}");
+    assert!(runs[0].0.decisions.iter().all(|d| d.stage != "assist"), "{ctx}: nothing fires");
+    assert_same_run(ctx, &runs[0], &runs[1]);
+
     for machine in [Machine::four_k40(), Machine::full_node()] {
         for cutoff in [None, Some(0.15)] {
             for seed in [7u64, 42] {

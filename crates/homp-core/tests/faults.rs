@@ -1,9 +1,8 @@
 //! Fault injection and recovery: every iteration executes exactly once
 //! no matter which device dies mid-region, transient faults are retried
-//! with the configured capped exponential backoff, and fault runs are
-//! bit-reproducible.
+//! with exponential backoff, and fault runs are bit-reproducible.
 
-use homp_core::{Algorithm, FaultConfig, FnKernel, OffloadRegion, Range, RetryPolicy, Runtime};
+use homp_core::{Algorithm, FaultConfig, FnKernel, OffloadRegion, Range, Runtime};
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
 use homp_sim::{FaultPlan, Machine, OpKind};
@@ -97,14 +96,13 @@ fn hits_on_dead_slot(report: &homp_core::OffloadReport) -> u64 {
 }
 
 #[test]
-fn transient_retries_follow_the_capped_exponential_backoff() {
+fn transient_retries_follow_the_exponential_backoff() {
     let n = 10_000u64;
-    // Device 1's DMA always fails: the proxy burns all its retries on
+    // Device 1's DMA always fails: the proxy burns all three retries on
     // the very first transfer, quarantines the device, and recovers.
     let plan = FaultPlan::new(3).with_transient_dma(1, 1.0);
-    let cfg = FaultConfig::new(plan);
-    let max_retries = cfg.retry.max_retries as usize;
-    let rt = Runtime::with_fault_config(Machine::four_k40(), 42, cfg);
+    let max_retries = 3;
+    let rt = Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan));
     let (res, hits) = run_counted(rt, n, Algorithm::Block);
     let report = res.unwrap();
 
@@ -137,30 +135,6 @@ fn transient_retries_follow_the_capped_exponential_backoff() {
         .filter(|e| e.kind == OpKind::Fault && e.device == 1)
         .count();
     assert_eq!(dma_faults, max_retries + 1);
-}
-
-#[test]
-fn backoff_ceiling_caps_the_doubling() {
-    let n = 10_000u64;
-    let plan = FaultPlan::new(3).with_transient_dma(1, 1.0);
-    let mut cfg = FaultConfig::new(plan);
-    cfg.retry.max_retries = 8;
-    cfg.retry.max_backoff_us = 400.0;
-    let rt = Runtime::with_fault_config(Machine::four_k40(), 42, cfg);
-    let (res, _) = run_counted(rt, n, Algorithm::Block);
-    let report = res.unwrap();
-    let mut spans: Vec<f64> = report
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::Backoff)
-        .map(|e| (e.end - e.start).as_secs())
-        .collect();
-    assert_eq!(spans.len(), 8);
-    spans.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    assert!((spans[0] - 100e-6).abs() < 1e-12);
-    assert!((spans[7] - 400e-6).abs() < 1e-12, "capped at max_backoff_us");
-    assert!(spans.iter().filter(|&&s| (s - 400e-6).abs() < 1e-12).count() >= 6);
 }
 
 #[test]
@@ -204,67 +178,6 @@ fn identical_seeds_give_byte_identical_fault_traces() {
     }
 }
 
-/// Run a Block region with device 1's DMA always failing under `retry`
-/// and return the device-1 backoff durations in microseconds, in start
-/// order. The static path has no health machinery, so the trace holds
-/// exactly one retry sequence.
-fn backoff_sequence_us(retry: RetryPolicy) -> Vec<f64> {
-    let n = 10_000u64;
-    let plan = FaultPlan::new(3).with_transient_dma(1, 1.0);
-    let cfg = FaultConfig::new(plan).with_retry(retry);
-    let rt = Runtime::with_fault_config(Machine::four_k40(), 42, cfg);
-    let (res, hits) = run_counted(rt, n, Algorithm::Block);
-    let report = res.unwrap();
-    assert!(hits.iter().all(|&h| h == 1), "exactly once regardless of the retry policy");
-    assert_eq!(report.faults.dropouts, vec![1]);
-    let mut backoffs: Vec<_> = report
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::Backoff && e.device == 1)
-        .collect();
-    backoffs.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
-    backoffs.iter().map(|e| (e.end - e.start).as_secs() * 1e6).collect()
-}
-
-fn assert_backoffs(got: &[f64], want: &[f64]) {
-    assert_eq!(got.len(), want.len(), "retry count: {got:?} vs {want:?}");
-    for (g, w) in got.iter().zip(want) {
-        assert!((g - w).abs() < 1e-6, "backoff sequence {got:?} != {want:?}");
-    }
-}
-
-#[test]
-fn zero_max_retries_quarantines_on_the_first_transient() {
-    let seq = backoff_sequence_us(RetryPolicy::default().with_max_retries(0));
-    assert!(seq.is_empty(), "max_retries = 0 must never back off: {seq:?}");
-}
-
-#[test]
-fn sub_unit_multiplier_shrinks_the_backoff() {
-    // A multiplier below 1.0 is legal: the backoff decays instead of
-    // growing, starting from the base.
-    let seq = backoff_sequence_us(
-        RetryPolicy::default()
-            .with_max_retries(3)
-            .with_base_backoff_us(100.0)
-            .with_multiplier(0.5),
-    );
-    assert_backoffs(&seq, &[100.0, 50.0, 25.0]);
-}
-
-#[test]
-fn backoff_saturates_at_the_ceiling_and_stays_there() {
-    let seq = backoff_sequence_us(
-        RetryPolicy::default()
-            .with_max_retries(6)
-            .with_base_backoff_us(100.0)
-            .with_multiplier(3.0)
-            .with_max_backoff_us(400.0),
-    );
-    assert_backoffs(&seq, &[100.0, 300.0, 400.0, 400.0, 400.0, 400.0]);
-}
-
 #[test]
 fn all_devices_failing_falls_back_to_the_host() {
     let n = 10_000u64;
@@ -306,4 +219,100 @@ fn chunked_dropout_requeues_only_the_orphaned_chunk() {
     let chunk = 2_000; // 2% of 100k
     assert_eq!(report.faults.requeued_chunks, 1);
     assert_eq!(report.faults.requeued_iters, chunk);
+}
+
+/// The first event on `dev` of `kind` labelled `label`.
+fn event(
+    report: &homp_core::OffloadReport,
+    dev: homp_sim::DeviceId,
+    kind: OpKind,
+    label: &str,
+) -> homp_sim::TraceEvent {
+    let trace = &report.trace;
+    *trace
+        .events()
+        .iter()
+        .find(|e| e.device == dev && e.kind == kind && trace.label(e.label) == label)
+        .unwrap_or_else(|| panic!("no {kind:?} `{label}` event on device {dev}"))
+}
+
+/// Device `dev`'s first event: its proxy's start.
+fn first_start(report: &homp_core::OffloadReport, dev: homp_sim::DeviceId) -> f64 {
+    let events = report.trace.events().iter().filter(|e| e.device == dev);
+    events.map(|e| e.start.as_secs()).fold(f64::INFINITY, f64::min)
+}
+
+/// A serialized offload (plain multi-device `target`) starts proxy
+/// *i+1* once proxy *i* has launched and moved its map-in, or at proxy
+/// *i*'s setup fault. A fault after the map-in, in the kernel or the
+/// copy-back, must not hold the next proxy: every path shares one setup.
+#[test]
+fn a_serialized_proxy_starts_at_the_previous_map_in_end() {
+    let n = 80_000u64;
+    let aligned = || DistPolicy::Align { target: "loop".into(), ratio: 1 };
+    let serialized = |alg: Algorithm, replicated: bool| {
+        let b = OffloadRegion::builder("axpy")
+            .trip_count(n)
+            .devices(vec![0, 1, 2, 3])
+            .algorithm(alg)
+            .serialized_offload()
+            .map_1d("x", MapDir::To, n, 8, aligned())
+            .map_1d("y", MapDir::ToFrom, n, 8, aligned());
+        match replicated {
+            true => b.map_1d("c", MapDir::To, 4096, 8, DistPolicy::Full).build(),
+            false => b.build(),
+        }
+    };
+    let run = |rt: Runtime, r: &OffloadRegion| {
+        let (mut rt, mut hits) = (rt, vec![0u32; n as usize]);
+        let report = {
+            let mut k = FnKernel::new(intensity(), |r: Range| {
+                for i in r.start..r.end {
+                    hits[i as usize] += 1;
+                }
+            });
+            rt.offload(r, &mut k).run().unwrap()
+        };
+        assert!(hits.iter().all(|&h| h == 1), "exactly once");
+        report
+    };
+    // (algorithm, replicated `c`, the op device 1 drops in the middle
+    // of, the label of its setup's last transfer, makespan in µs).
+    let cases = [
+        (Algorithm::Block, false, (OpKind::D2H, "map-out"), "map-in", 307.95),
+        (Algorithm::Model2 { cutoff: None }, false, (OpKind::D2H, "map-out"), "map-in", 307.95),
+        (
+            Algorithm::ProfileConst { sample_pct: 10.0, cutoff: None },
+            true,
+            (OpKind::Kernel, "axpy"),
+            "map-in-fixed",
+            253.29,
+        ),
+        (
+            Algorithm::ProfileModel { sample_pct: 10.0, cutoff: None },
+            true,
+            (OpKind::Kernel, "axpy"),
+            "map-in-fixed",
+            253.29,
+        ),
+    ];
+    for (alg, replicated, (kind, label), setup_in, makespan_us) in cases {
+        let r = serialized(alg, replicated);
+        let healthy = run(Runtime::new(Machine::four_k40(), 42), &r);
+        let op = event(&healthy, 1, kind, label);
+        let drop_at = (op.start.as_secs() + op.end.as_secs()) / 2.0;
+        let plan = FaultPlan::new(1).with_dropout_at(1, drop_at);
+        let faulty = Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan));
+        let report = run(faulty, &r);
+        assert_eq!(report.faults.dropouts, vec![1], "{alg}");
+        let map_in_end = event(&report, 1, OpKind::H2D, setup_in).end.as_secs();
+        assert!(map_in_end < drop_at, "{alg}: the fault comes after the setup");
+        assert_eq!(
+            first_start(&report, 2),
+            map_in_end,
+            "{alg}: device 2 must start at device 1's {setup_in} end, not at its fault ({drop_at})"
+        );
+        let got_us = report.makespan.as_secs() * 1e6;
+        assert!((got_us - makespan_us).abs() < 0.005, "{alg}: makespan {got_us} µs");
+    }
 }
