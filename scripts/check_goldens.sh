@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Diff every seed-42 golden in results/golden/ against a fresh run of its
-# bench binary, at HOMP_BENCH_JOBS=1 and 4. This is the CI determinism
+# bench binary, at HOMP_BENCH_JOBS=1 and 4, and require each binary's
+# stdout at 4 jobs to equal its stdout at 1. This is the CI determinism
 # check; run it locally from anywhere in the repository:
 #
 #     scripts/check_goldens.sh
@@ -20,9 +21,9 @@ failed=0
 # check NAME ACTUAL GOLDEN
 check() {
     if cmp -s "$2" "$3"; then
-        printf 'ok    %-14s jobs=%s\n' "$1" "$jobs"
+        printf 'ok    %-20s jobs=%s\n' "$1" "$jobs"
     else
-        printf 'DIFF  %-14s jobs=%s\n' "$1" "$jobs"
+        printf 'DIFF  %-20s jobs=%s\n' "$1" "$jobs"
         diff "$2" "$3" | head -n 20 || true
         failed=1
     fi
@@ -36,15 +37,21 @@ for jobs in 1 4; do
     check data_region "$out/data_region.json" "$golden/data_region_seed42.json"
     "$bin/pipeline" --seed 42 >"$out/pipeline.json" 2>/dev/null
     check pipeline "$out/pipeline.json" "$golden/pipeline_seed42.json"
-    "$bin/fig5" --seed 42 >/dev/null 2>&1
+    "$bin/fig5" --seed 42 >"$out/fig5.$jobs.txt" 2>/dev/null
     check fig5 results/fig5.csv "$golden/fig5_seed42.csv"
-    "$bin/fig9" --seed 42 >/dev/null 2>&1
+    "$bin/fig9" --seed 42 >"$out/fig9.$jobs.txt" 2>/dev/null
     check fig9 results/fig9.csv "$golden/fig9_seed42.csv"
     check fig9_cutoff results/fig9_cutoff.csv "$golden/fig9_cutoff_seed42.csv"
-    "$bin/serve_traffic" --seed 42 >/dev/null 2>&1
+    "$bin/serve_traffic" --seed 42 >"$out/serve_traffic.$jobs.txt" 2>/dev/null
     check serve_traffic results/serve_traffic.json "$golden/serve_traffic_seed42.json"
-    "$bin/chaos_soak" --seed 42 >/dev/null 2>&1
+    "$bin/chaos_soak" --seed 42 >"$out/chaos_soak.$jobs.txt" 2>/dev/null
     check chaos_soak results/chaos_soak.json "$golden/chaos_soak_seed42.json"
+done
+
+# The other binaries' stdout is the artifact checked above.
+jobs="4 vs 1"
+for name in fig5 fig9 serve_traffic chaos_soak; do
+    check "$name stdout" "$out/$name.4.txt" "$out/$name.1.txt"
 done
 
 exit "$failed"
