@@ -134,7 +134,7 @@ impl Homp {
     }
 
     /// HOMP with fault injection: like [`Homp::with_seed`] plus a
-    /// [`FaultConfig`] governing injected faults and recovery.
+    /// [`FaultConfig`] naming the faults to inject.
     pub fn with_faults(machine: Machine, seed: u64, faults: FaultConfig) -> Self {
         Self::with_config(machine, &RuntimeConfig::new().seed(seed).faults(faults))
     }
