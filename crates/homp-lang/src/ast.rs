@@ -90,7 +90,8 @@ impl Expr {
                         if r == 0 {
                             Err(EvalError::DivideByZero)
                         } else {
-                            Ok(l / r)
+                            // `i64::MIN / -1` is the one other quotient that does not fit.
+                            l.checked_div(r).ok_or(EvalError::Overflow)
                         }
                     }
                 }
@@ -867,6 +868,12 @@ mod tests {
             rhs: Box::new(Expr::Int(2)),
         };
         assert_eq!(ovf.eval(&Env::new()), Err(EvalError::Overflow));
+        let min_by_minus_one = Expr::Binary {
+            op: BinOp::Div,
+            lhs: Box::new(Expr::Int(i64::MIN)),
+            rhs: Box::new(Expr::Int(-1)),
+        };
+        assert_eq!(min_by_minus_one.eval(&Env::new()), Err(EvalError::Overflow));
     }
 
     #[test]
