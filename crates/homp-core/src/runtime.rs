@@ -874,6 +874,9 @@ impl Runtime {
             slab_bytes,
             SimTime::ZERO,
         );
+        // An offload dispatched `.at(t)` does not reset the engine, so it
+        // would report events left here as its own.
+        self.engine.clear_trace();
         end - SimTime::ZERO
     }
 
@@ -902,6 +905,7 @@ impl Runtime {
             end = end.max(t);
             bytes += b;
         }
+        self.engine.clear_trace();
         Ok(DataRegionReport {
             flushed_bytes: bytes,
             flush_transfers: flush.len() as u64,
@@ -943,6 +947,7 @@ impl Runtime {
             self.engine.transfer(dev, b, Dir::D2H, SimTime::ZERO, "update-from");
             d2h += b;
         }
+        self.engine.clear_trace();
         Ok(UpdateReport { h2d_bytes: h2d, d2h_bytes: d2h })
     }
 

@@ -256,6 +256,12 @@ impl Engine {
         std::mem::replace(&mut self.trace, Trace::with_level(level))
     }
 
+    /// Drop the recorded events and nothing else: the calendars, the
+    /// noise sequence numbers and the label table stay as they are.
+    pub fn clear_trace(&mut self) {
+        self.trace.clear();
+    }
+
     /// Set the trace recording level (see [`TraceLevel`]). The virtual
     /// clock, noise draw order, and every returned completion instant
     /// are identical at all levels — only what lands in the trace
