@@ -275,35 +275,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Every number following the member key `"key"` in hand-rolled JSON,
-/// in file order.
-///
-/// The key match is quote-delimited and exact: `"events"` never matches
-/// `"events_quick"` or `"quick_events"`, and an occurrence that is not
-/// followed (modulo JSON whitespace) by the name/value `:` — e.g. the
-/// same text inside a string *value* — is skipped rather than
-/// mis-parsed. Values may use scientific notation (`-3e2`, `2e+4`) and
-/// any JSON whitespace may separate the key, the colon, and the value.
-pub fn json_nums(s: &str, key: &str) -> Vec<f64> {
-    let quoted = format!("\"{key}\"");
-    let mut out = Vec::new();
-    let mut rest = s;
-    while let Some(i) = rest.find(&quoted) {
-        let after = &rest[i + quoted.len()..];
-        if let Some(tail) = after.trim_start().strip_prefix(':') {
-            let tail = tail.trim_start();
-            let end = tail
-                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                .unwrap_or(tail.len());
-            if let Ok(v) = tail[..end].parse() {
-                out.push(v);
-            }
-        }
-        rest = after;
-    }
-    out
-}
-
 /// Best (minimum-time) cell of a row.
 pub fn best_cell(row: &[Cell]) -> &Cell {
     row.iter().min_by(|a, b| a.ms().partial_cmp(&b.ms()).unwrap()).expect("non-empty row")
@@ -346,45 +317,5 @@ mod tests {
     fn geomean_basics() {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn json_nums_returns_values_in_file_order() {
-        assert_eq!(json_nums("\"a\": 1, \"a\": 2.5, \"a\": -3e2", "a"), vec![1.0, 2.5, -300.0]);
-        assert!(json_nums("\"b\": 1", "a").is_empty());
-    }
-
-    #[test]
-    fn json_nums_key_matching_is_quote_delimited_and_exact() {
-        // Neither a key extended on the right nor one extended on the
-        // left may satisfy a lookup for the exact key.
-        let body = "{\"events_quick\": 1.0, \"quick_events\": 2.0, \"events\": 3.0}";
-        assert_eq!(json_nums(body, "events"), vec![3.0]);
-        // The key text inside a string *value* has no following colon
-        // and must be skipped, not parsed as a member.
-        let body = "{\"note\": \"events\", \"events\": 4.0}";
-        assert_eq!(json_nums(body, "events"), vec![4.0]);
-    }
-
-    #[test]
-    fn json_nums_accepts_json_whitespace_before_the_colon() {
-        // Regression: `"key" : value` (whitespace between the closing
-        // quote and the colon — legal JSON) used to be silently missed.
-        assert_eq!(json_nums("\"a\" : 1.5", "a"), vec![1.5]);
-        assert_eq!(json_nums("\"a\"\t:\n  2e1, \"a\"\n: 3", "a"), vec![20.0, 3.0]);
-    }
-
-    #[test]
-    fn json_nums_parses_scientific_notation() {
-        assert_eq!(
-            json_nums("\"x\": 6.02e23, \"x\": -1E-9, \"x\": 2e+4", "x"),
-            vec![6.02e23, -1e-9, 2e4]
-        );
-    }
-
-    #[test]
-    fn json_nums_skips_non_numeric_values() {
-        assert!(json_nums("\"a\": \"string\", \"a\": null", "a").is_empty());
-        assert_eq!(json_nums("\"a\": [7], \"a\": 8", "a"), vec![8.0]);
     }
 }
