@@ -51,6 +51,7 @@ proptest! {
     /// Healthy runs: all 8 algorithms (and their CUTOFF variants) on a
     /// homogeneous and a heterogeneous machine, random seed and trip
     /// count.
+    #[test]
     fn exactly_once_across_algorithms_seeds_and_machines(
         seed in 0u64..1_000_000,
         n in 1_000u64..60_000,
@@ -67,6 +68,7 @@ proptest! {
     /// Faulty runs: a random device drops out at a random fraction of
     /// the healthy makespan; recovery (serial requeue or work-assist
     /// adoption) must preserve both halves of the property.
+    #[test]
     fn exactly_once_with_a_random_mid_run_dropout(
         seed in 0u64..1_000_000,
         n in 20_000u64..60_000,

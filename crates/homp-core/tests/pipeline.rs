@@ -112,6 +112,7 @@ proptest! {
     /// traces included — to back-to-back classic `offload(…).run()`
     /// calls on a same-seed runtime, for all 8 extended-suite
     /// algorithms.
+    #[test]
     fn all_barrier_pipeline_matches_back_to_back_offloads(
         seed in 0u64..1_000_000,
         n in 1_000u64..50_000,
@@ -159,6 +160,7 @@ proptest! {
     /// requeue the victim's chunks (device or host), keep every stage's
     /// per-iteration execution exactly-once, and keep each stage's
     /// decision log a partition of the iteration space.
+    #[test]
     fn exactly_once_with_a_mid_pipeline_dropout(
         seed in 0u64..1_000_000,
         n in 20_000u64..50_000,

@@ -576,11 +576,13 @@ fn soup(seed: u64, len: usize, devices: u64) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    #[test]
     fn synthetic_reports_render_as_the_reference(seed in 0u64..=u64::MAX) {
         let r = synthetic_report(seed);
         prop_assert_eq!(r.to_json(), reference::to_json(&r), "seed {}", seed);
     }
 
+    #[test]
     fn event_soups_fold_as_the_reference(
         seed in 0u64..=u64::MAX,
         len in 0usize..120,

@@ -184,6 +184,7 @@ proptest! {
     /// requests out of arrival order onto a coarse grid of instants, so
     /// many arrive together; both policies and three in-flight windows
     /// must reproduce the linear-scan decision log exactly.
+    #[test]
     fn heap_admission_matches_linear_scan(
         tenants in proptest::collection::vec((tenant_id(), weight()), 1..=50),
         picks in proptest::collection::vec((0usize..1_000, 0u32..12, 0usize..6), 1..80),

@@ -146,6 +146,7 @@ proptest! {
     /// Interleaved two-tenant serve ≡ back-to-back, bitwise, per
     /// tenant — all 8 algorithms × fault scripts × both admission
     /// policies, random seed, trip count, and overlap.
+    #[test]
     fn interleaved_serve_matches_back_to_back(
         seed in 0u64..1_000_000,
         n in 2_000u64..20_000,

@@ -182,12 +182,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(20_000))]
 
+        #[test]
         fn agrees_with_fmt_on_random_bit_patterns(bits in 0u64..=u64::MAX, d in 0usize..=9) {
             assert_like_fmt(f64::from_bits(bits), d);
         }
 
         /// The ranges report and trace fields hold: fractions,
         /// seconds, microseconds, milliseconds, percentages, counts.
+        #[test]
         fn agrees_with_fmt_in_field_ranges(
             unit in 0.0f64..1.0,
             scale in 0usize..8,
@@ -200,6 +202,7 @@ mod tests {
 
         /// Values a few ulps either side of a half-way point at their
         /// precision, where the fast path must step aside.
+        #[test]
         fn agrees_with_fmt_next_to_ties(
             k in 0u64..1_000_000,
             d in 0usize..=9,

@@ -393,7 +393,11 @@ macro_rules! prop_oneof {
 }
 
 /// The test-declaration macro. Each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` that replays `cases` deterministic samples.
+/// becomes a function that replays `cases` deterministic samples. As in
+/// upstream `proptest`, the macro adds no `#[test]`: write one on each
+/// property. A property written without it compiles but never runs,
+/// and clippy does not flag it (the function comes from this crate's
+/// macro).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -405,7 +409,6 @@ macro_rules! proptest {
      fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block
      $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let cases: u32 = $cases;
             let mut rng = $crate::TestRng::from_name(concat!(module_path!(), "::", stringify!($name)));
@@ -440,12 +443,14 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
         fn ranges_in_bounds(x in 3u64..17, f in -2.0f64..2.0, n in 1usize..=4) {
             prop_assert!((3..17).contains(&x));
             prop_assert!((-2.0..2.0).contains(&f));
             prop_assert!((1..=4).contains(&n));
         }
 
+        #[test]
         fn composite(v in crate::collection::vec(0u32..10, 1..5),
                      o in crate::option::of(0i32..3),
                      pick in prop_oneof![Just(1u8), (2u8..4).prop_map(|x| x)]) {
