@@ -120,6 +120,21 @@ pub struct ArrayCost {
     pub total_bytes: u64,
 }
 
+impl ArrayCost {
+    /// Bytes of the array on slot `s` running `iters` iterations: the
+    /// whole array when replicated, the slot's block when independent,
+    /// and `round(iters × bytes_per_iter)` when loop-aligned.
+    pub fn bytes(&self, s: usize, iters: u64) -> u64 {
+        match &self.kind {
+            ArrayCostKind::Replicated => self.total_bytes,
+            ArrayCostKind::LoopAligned { bytes_per_iter } => {
+                (iters as f64 * bytes_per_iter).round() as u64
+            }
+            ArrayCostKind::Independent { per_slot } => per_slot[s],
+        }
+    }
+}
+
 /// Byte-accounting plan for one offload region on `n_devices` devices.
 #[derive(Debug, Clone)]
 pub struct DataPlan {

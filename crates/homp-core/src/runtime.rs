@@ -39,7 +39,7 @@ use homp_model::heuristics::{classify, select_algorithm, ClassThresholds};
 use homp_model::{DeviceParams, KernelIntensity};
 use homp_sim::{
     profile_machine, ChunkWork, DeviceId, Dir, Engine, Fault, FaultKind, FaultPlan, Machine,
-    MemorySpace, NoiseModel, OpKind, SimSpan, SimTime, Trace, TraceLevel, TransferStats,
+    NoiseModel, OpKind, SimSpan, SimTime, Trace, TraceLevel, TransferStats,
 };
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -90,12 +90,6 @@ fn chunk_work<'a>(
         Some(f) => w.weighted(f((range.start + range.end) / 2)),
         None => w,
     }
-}
-
-/// One [`MemorySpace`] per device, sized to the device's capacity —
-/// the backing store for the persistent data environment.
-fn device_memories(machine: &Machine) -> Vec<MemorySpace> {
-    machine.devices.iter().map(|d| MemorySpace::new(d.mem_capacity)).collect()
 }
 
 /// Error from [`Runtime::offload`].
@@ -565,12 +559,10 @@ pub struct Runtime {
     /// is pure read-side and never touches the engine (golden tests pin
     /// that a logged run is byte-identical to an unlogged one).
     log_decisions: bool,
-    /// The persistent device-data environment (`target data`). Inactive
-    /// (and cost-free) until a region is opened.
+    /// The persistent device-data environment (`target data`) and the
+    /// device memory backing it. Inactive (and cost-free) until a
+    /// region is opened.
     data_env: DataEnv,
-    /// Per-device memory spaces backing the data environment's
-    /// persistent allocations, indexed by device ID.
-    mem: Vec<MemorySpace>,
     /// Virtual instant the current offload was dispatched at. Zero for
     /// the classic one-region-at-a-time entry points; a later instant
     /// when a service layer dispatches a region onto already-busy
@@ -699,14 +691,13 @@ impl Runtime {
     /// is what makes CUTOFF earn its keep.
     pub fn with_noise(machine: Machine, noise: NoiseModel) -> Self {
         let params = machine.datasheet_params();
-        let mem = device_memories(&machine);
+        let data_env = DataEnv::new(machine.devices.iter().map(|d| d.mem_capacity));
         let engine = Engine::new(machine, noise);
         Self {
             engine,
             params,
             log_decisions: false,
-            data_env: DataEnv::default(),
-            mem,
+            data_env,
             dispatch_base: SimTime::ZERO,
         }
     }
@@ -755,7 +746,6 @@ impl Runtime {
     pub fn reset_with_seed(&mut self, seed: u64) {
         self.engine.reset_with_seed(seed);
         self.data_env.clear();
-        self.mem = device_memories(self.engine.machine());
     }
 
     /// Enable (or disable) the scheduler decision log. When enabled,
@@ -896,7 +886,7 @@ impl Runtime {
     /// inside the region), release the region's device allocations, and
     /// report what moved.
     pub fn data_region_end(&mut self) -> Result<DataRegionReport, OffloadError> {
-        let flush = self.data_env.close(&mut self.mem)?;
+        let flush = self.data_env.close()?;
         self.engine.reset();
         let mut end = SimTime::ZERO;
         let mut bytes = 0u64;
@@ -961,11 +951,6 @@ impl Runtime {
     /// The persistent data environment (residency inspection).
     pub fn data_env(&self) -> &DataEnv {
         &self.data_env
-    }
-
-    /// The memory space backing device `dev`'s persistent allocations.
-    pub fn device_memory(&self, dev: DeviceId) -> Option<&MemorySpace> {
-        self.mem.get(dev as usize)
     }
 
     /// Check that every discrete device in `slots` can hold its fixed
@@ -1495,7 +1480,7 @@ impl Runtime {
         // environment rewrites the per-slot transfer bytes: resident
         // data is elided, split changes move only the delta, and
         // registered copy-backs are deferred to region close.
-        let bytes = self.data_env.plan_static(region, plan, counts, slots, &mut self.mem)?;
+        let bytes = self.data_env.plan(region, plan, Some(counts), slots)?;
         let mut led = Ledger::new(slots.len(), self.dispatch_base, self.log_decisions);
         let mut range = Range::new(0, region.trip_count);
 
@@ -1575,7 +1560,7 @@ impl Runtime {
         let intensity = kernel.intensity();
         let policy = StealPolicy::for_region(region, min_assist_pct);
         let elided = self.data_env.stats().d2h_elided_bytes;
-        let bytes = self.data_env.plan_static(region, plan, counts, slots, &mut self.mem)?;
+        let bytes = self.data_env.plan(region, plan, Some(counts), slots)?;
         let deferred = self.data_env.stats().d2h_elided_bytes - elided;
         let overhead = SimSpan::from_micros(REQUEUE_OVERHEAD_US);
         let mut st = AssistState::new(slots.len(), self.dispatch_base, self.log_decisions);
@@ -1875,7 +1860,7 @@ impl Runtime {
         // Inside a `target data` region, chunked schedules elide only the
         // *fixed* mappings (replicated / independent / scalars) — aligned
         // data streams per chunk with no stable ownership to reuse.
-        let fixed = self.data_env.plan_fixed(region, plan, slots, &mut self.mem)?;
+        let fixed = self.data_env.plan(region, plan, None, slots)?;
         let mut queue = ChunkQueue::new(region.trip_count, n);
         let mut led = Ledger::new(n, self.dispatch_base, self.log_decisions);
         led.health_on = !self.engine.fault_plan().is_none();
@@ -2091,7 +2076,7 @@ impl Runtime {
         let n = slots.len();
         // Same contract as `run_chunked`: inside a data region only the
         // fixed mappings elide; the sampled/stage-2 aligned data streams.
-        let fixed = self.data_env.plan_fixed(region, plan, slots, &mut self.mem)?;
+        let fixed = self.data_env.plan(region, plan, None, slots)?;
         let mut range = Range::new(0, region.trip_count);
         let mut throughputs = vec![0.0f64; n];
         // Through stage 1 the ledger's completions are the sample ends.
@@ -2788,14 +2773,7 @@ impl StageBytes {
         };
         let fixed = |slot: usize| -> u64 {
             let inputs = plan.per_array().iter().filter(|a| a.copies_in && !linked(linked_in, a));
-            plan.scalar_bytes()
-                + inputs
-                    .map(|a| match &a.kind {
-                        ArrayCostKind::Replicated => a.total_bytes,
-                        ArrayCostKind::Independent { per_slot } => per_slot[slot],
-                        ArrayCostKind::LoopAligned { .. } => 0,
-                    })
-                    .sum::<u64>()
+            plan.scalar_bytes() + inputs.map(|a| a.bytes(slot, 0)).sum::<u64>()
         };
         StageBytes {
             h2d_per_iter: per_iter(&|a| a.copies_in && !linked(linked_in, a)),
