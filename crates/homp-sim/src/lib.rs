@@ -16,7 +16,7 @@
 //! * [`engine`] — the resource-calendar simulation core.
 //! * [`fault`] — deterministic fault injection (transient DMA errors,
 //!   launch timeouts, permanent device dropout).
-//! * [`trace`] — operation traces, Fig.-6-style breakdowns, ASCII Gantt.
+//! * [`trace`] — operation traces, ASCII Gantt, CSV and Chrome exports.
 //! * [`fixed`] — fixed-precision float rendering, byte-identical to
 //!   `core::fmt`'s `{:.N}`, for reports and trace exports.
 //! * [`metrics`] — per-device utilization, DMA/compute overlap, queue
@@ -50,4 +50,4 @@ pub use metrics::{DeviceMetrics, Metrics, TransferStats};
 pub use noise::NoiseModel;
 pub use profile::{profile_device, profile_machine, solve_hockney};
 pub use time::{SimSpan, SimTime};
-pub use trace::{Breakdown, LabelId, OpKind, Trace, TraceEvent, TraceLevel};
+pub use trace::{LabelId, OpKind, Trace, TraceEvent, TraceLevel};

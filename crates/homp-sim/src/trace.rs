@@ -1,12 +1,12 @@
-//! Execution tracing and offload-time breakdown.
+//! Execution tracing.
 //!
 //! Figure 6 of the paper reports the accumulated breakdown of offloading
 //! time per device — runtime init, host-to-device copies, kernel
 //! execution, device-to-host copies, and barrier synchronization — with
 //! a curve of incurred load imbalance (below 5% on average). The
 //! [`Trace`] records every simulated operation with start/end times so
-//! the harness can regenerate that figure, render ASCII Gantt charts for
-//! the examples, and export CSV.
+//! [`Metrics`](crate::Metrics) can fold that breakdown, the harness can
+//! render ASCII Gantt charts for the examples, and export CSV.
 
 use crate::device::DeviceId;
 use crate::fixed::push_fixed;
@@ -104,13 +104,14 @@ pub struct LabelId(u32);
 /// offload reports).
 ///
 /// What [`TraceLevel::Off`] gives up is trace-*derived*
-/// observability: a [`Breakdown`] folds an empty event list, so
-/// utilization, per-kind busy times, and its imbalance all read zero
-/// even though the schedule they would have described is unchanged.
+/// observability: [`Metrics::from_trace`](crate::Metrics::from_trace)
+/// folds an empty event list, so utilization, per-kind busy times and
+/// completions all read zero even though the schedule they would have
+/// described is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceLevel {
-    /// Record nothing. `events()` stays empty; breakdowns and renders
-    /// are vacuous. Cheapest: the append is skipped entirely.
+    /// Record nothing. `events()` stays empty; trace metrics and
+    /// renders are vacuous. Cheapest: the append is skipped entirely.
     Off,
     /// Record everything, labels included. The default — existing
     /// goldens (CSV, Chrome JSON, reports) are byte-identical.
@@ -256,7 +257,7 @@ impl Trace {
     ///
     /// Events are appended as-is (absolute times, recording order), so
     /// absorbing traces produced on a shared calendar yields a merged
-    /// trace whose [`Trace::breakdown`] and utilization math see the
+    /// trace whose [`Metrics`](crate::Metrics) fold sees the
     /// true machine timeline. A trace at [`TraceLevel::Off`] absorbs
     /// nothing.
     pub fn absorb(&mut self, other: &Trace) {
@@ -277,21 +278,6 @@ impl Trace {
     /// The latest end time across all events (the region makespan).
     pub fn makespan(&self) -> SimTime {
         self.events.iter().map(|e| e.end).max().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Per-device, per-category busy time.
-    pub fn breakdown(&self, n_devices: usize) -> Breakdown {
-        let mut busy = vec![[SimSpan::ZERO; OpKind::N]; n_devices];
-        let mut completion = vec![SimTime::ZERO; n_devices];
-        for e in &self.events {
-            let d = e.device as usize;
-            assert!(d < n_devices, "event device {} out of range {}", e.device, n_devices);
-            busy[d][e.kind.index()] += e.span();
-            if e.kind != OpKind::Sync {
-                completion[d] = completion[d].max(e.end);
-            }
-        }
-        Breakdown { busy, completion, makespan: self.makespan() }
     }
 
     /// The events in canonical render order: by start, device, kind
@@ -436,72 +422,6 @@ impl Trace {
     }
 }
 
-/// Per-device busy time by category, plus completion times — the data
-/// behind Figure 6.
-#[derive(Debug, Clone)]
-pub struct Breakdown {
-    busy: Vec<[SimSpan; OpKind::N]>,
-    completion: Vec<SimTime>,
-    makespan: SimTime,
-}
-
-impl Breakdown {
-    /// Busy span for one device/category.
-    pub fn busy(&self, device: DeviceId, kind: OpKind) -> SimSpan {
-        self.busy[device as usize][kind.index()]
-    }
-
-    /// Device's barrier wait: makespan minus its last non-sync completion.
-    pub fn barrier_wait(&self, device: DeviceId) -> SimSpan {
-        self.makespan - self.completion[device as usize]
-    }
-
-    /// Percentage breakdown for one device over the makespan, in
-    /// `OpKind::ALL` order, where SYNC is the barrier wait. Sums to ≤100
-    /// (gaps between operations are unattributed).
-    pub fn percentages(&self, device: DeviceId) -> [f64; OpKind::N] {
-        let total = self.makespan.as_secs();
-        if total <= 0.0 {
-            return [0.0; OpKind::N];
-        }
-        let mut out = [0.0; OpKind::N];
-        for (i, k) in OpKind::ALL.iter().enumerate() {
-            let span = if *k == OpKind::Sync {
-                self.barrier_wait(device)
-            } else {
-                self.busy(device, *k)
-            };
-            out[i] = span.as_secs() / total * 100.0;
-        }
-        out
-    }
-
-    /// The paper's load-imbalance metric: mean over devices of
-    /// `(makespan − completion_d) / makespan`, as a percentage. Devices
-    /// that did no work at all are excluded (CUTOFF removed them).
-    pub fn imbalance_pct(&self) -> f64 {
-        let completions = self.completion.iter().map(SimTime::as_secs);
-        crate::metrics::imbalance_pct(self.makespan.as_secs(), completions)
-    }
-
-    /// The paper's Table IV/V load-balance metric: the ratio of the
-    /// maximum to the minimum completion time over devices that did any
-    /// work. `1.0` when fewer than two devices participated.
-    pub fn load_balance_ratio(&self) -> f64 {
-        crate::metrics::load_balance_ratio(self.completion.iter().map(|c| c.as_secs()))
-    }
-
-    /// Makespan of the region.
-    pub fn makespan(&self) -> SimTime {
-        self.makespan
-    }
-
-    /// Completion time (last non-sync op) per device.
-    pub fn completion(&self, device: DeviceId) -> SimTime {
-        self.completion[device as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,61 +437,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn breakdown_accumulates_by_kind() {
-        let mut tr = Trace::new();
-        tr.record(0, OpKind::H2D, t(0.0), t(1.0), 100, "x");
-        tr.record(0, OpKind::Kernel, t(1.0), t(3.0), 10, "k");
-        tr.record(0, OpKind::D2H, t(3.0), t(3.5), 50, "y");
-        tr.record(1, OpKind::Kernel, t(0.0), t(4.0), 10, "k");
-        let b = tr.breakdown(2);
-        assert_eq!(b.busy(0, OpKind::H2D).as_secs(), 1.0);
-        assert_eq!(b.busy(0, OpKind::Kernel).as_secs(), 2.0);
-        assert_eq!(b.busy(1, OpKind::Kernel).as_secs(), 4.0);
-        assert_eq!(b.makespan().as_secs(), 4.0);
-    }
 
-    #[test]
-    fn barrier_wait_is_makespan_minus_completion() {
-        let mut tr = Trace::new();
-        tr.record(0, OpKind::Kernel, t(0.0), t(3.0), 1, "k");
-        tr.record(1, OpKind::Kernel, t(0.0), t(4.0), 1, "k");
-        let b = tr.breakdown(2);
-        assert_eq!(b.barrier_wait(0).as_secs(), 1.0);
-        assert_eq!(b.barrier_wait(1).as_secs(), 0.0);
-    }
 
-    #[test]
-    fn imbalance_of_perfect_balance_is_zero() {
-        let mut tr = Trace::new();
-        tr.record(0, OpKind::Kernel, t(0.0), t(2.0), 1, "k");
-        tr.record(1, OpKind::Kernel, t(0.0), t(2.0), 1, "k");
-        assert_eq!(tr.breakdown(2).imbalance_pct(), 0.0);
-    }
 
-    #[test]
-    fn imbalance_averages_over_participants() {
-        let mut tr = Trace::new();
-        tr.record(0, OpKind::Kernel, t(0.0), t(4.0), 1, "k");
-        tr.record(1, OpKind::Kernel, t(0.0), t(2.0), 1, "k");
-        // device 2 never works — excluded.
-        let b = tr.breakdown(3);
-        // waits: 0% and 50% → mean 25%.
-        assert!((b.imbalance_pct() - 25.0).abs() < 1e-9);
-    }
 
-    #[test]
-    fn percentages_sum_to_at_most_100() {
-        let mut tr = Trace::new();
-        tr.record(0, OpKind::Init, t(0.0), t(0.1), 0, "i");
-        tr.record(0, OpKind::H2D, t(0.1), t(0.5), 10, "x");
-        tr.record(0, OpKind::Kernel, t(0.5), t(0.9), 5, "k");
-        tr.record(1, OpKind::Kernel, t(0.0), t(1.0), 5, "k");
-        let b = tr.breakdown(2);
-        let p: f64 = b.percentages(0).iter().sum();
-        assert!(p <= 100.0 + 1e-9, "sum {p}");
-        assert!(p > 99.0, "device 0 busy+wait should cover the span, got {p}");
-    }
 
     #[test]
     fn csv_has_header_and_rows() {
@@ -606,19 +475,6 @@ mod tests {
         assert_eq!(g.matches('|').count(), 12, "6 rows, two bars each:\n{g}");
     }
 
-    #[test]
-    fn load_balance_ratio_is_max_over_min_completion() {
-        let mut tr = Trace::new();
-        tr.record(0, OpKind::Kernel, t(0.0), t(4.0), 1, "k");
-        tr.record(1, OpKind::Kernel, t(0.0), t(2.0), 1, "k");
-        // device 2 idle — excluded.
-        let b = tr.breakdown(3);
-        assert!((b.load_balance_ratio() - 2.0).abs() < 1e-12);
-        // A single participant has nothing to be imbalanced against.
-        let mut solo = Trace::new();
-        solo.record(0, OpKind::Kernel, t(0.0), t(1.0), 1, "k");
-        assert_eq!(solo.breakdown(2).load_balance_ratio(), 1.0);
-    }
 
     #[test]
     fn chrome_json_is_well_formed() {
@@ -844,7 +700,6 @@ mod tests {
         let tr = Trace::new();
         assert!(tr.is_empty());
         assert_eq!(tr.makespan(), SimTime::ZERO);
-        assert_eq!(tr.breakdown(2).imbalance_pct(), 0.0);
         assert_eq!(tr.gantt(2, 10), "");
     }
 }
