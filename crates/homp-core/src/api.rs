@@ -168,11 +168,6 @@ impl Homp {
         &self.runtime
     }
 
-    /// Mutable access to the runtime (ablation switches etc.).
-    pub fn runtime_mut(&mut self) -> &mut Runtime {
-        &mut self.runtime
-    }
-
     /// Parse directive sources and lower them to a region.
     pub fn compile_source(
         &self,

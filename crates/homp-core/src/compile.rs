@@ -62,6 +62,9 @@ impl KernelDescriptor for KernelInfo {
     }
 }
 
+/// Element size of every mapped array and scalar: the paper's `REAL`.
+const ELEM_BYTES: u64 = 8;
+
 /// Options the source code supplies around the directives.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
@@ -71,8 +74,6 @@ pub struct CompileOptions {
     pub loop_label: String,
     /// Outer-loop trip count.
     pub trip_count: u64,
-    /// Element size of mapped arrays (the paper's `REAL` = 8 bytes).
-    pub elem_bytes: u64,
     /// Per-iteration intensity when the options came from a
     /// [`KernelDescriptor`]; `None` for anonymous loops.
     intensity: Option<KernelIntensity>,
@@ -86,7 +87,6 @@ impl CompileOptions {
             kernel_name: kernel.label(),
             loop_label: "loop".into(),
             trip_count: kernel.trip_count(),
-            elem_bytes: 8,
             intensity: Some(kernel.intensity()),
         }
     }
@@ -98,7 +98,6 @@ impl CompileOptions {
             kernel_name: kernel_name.into(),
             loop_label: "loop".into(),
             trip_count,
-            elem_bytes: 8,
             intensity: None,
         }
     }
@@ -106,12 +105,6 @@ impl CompileOptions {
     /// Override the loop label.
     pub fn with_loop_label(mut self, label: impl Into<String>) -> Self {
         self.loop_label = label.into();
-        self
-    }
-
-    /// Override the mapped element size (default 8, the paper's `REAL`).
-    pub fn with_elem_bytes(mut self, bytes: u64) -> Self {
-        self.elem_bytes = bytes;
         self
     }
 
@@ -267,7 +260,7 @@ pub fn compile(
         for m in d.maps() {
             for item in &m.items {
                 match item {
-                    MapItem::Scalar(_) => scalar_bytes += opts.elem_bytes,
+                    MapItem::Scalar(_) => scalar_bytes += ELEM_BYTES,
                     MapItem::Array { section, partition, halo } => {
                         let mut dims = Vec::with_capacity(section.dims.len());
                         for dim in &section.dims {
@@ -295,7 +288,7 @@ pub fn compile(
                             name: section.name.clone(),
                             dir: m.dir,
                             dims,
-                            elem_bytes: opts.elem_bytes,
+                            elem_bytes: ELEM_BYTES,
                             partition: policies,
                             halo: widths,
                         });

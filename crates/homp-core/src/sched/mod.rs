@@ -183,12 +183,6 @@ impl Algorithm {
         })
     }
 
-    /// Whether the algorithm schedules in multiple stages (dynamic /
-    /// guided chunking) — the "# Stages: Multiple" rows of Table II.
-    pub fn is_multi_stage(&self) -> bool {
-        matches!(self, Algorithm::Dynamic { .. } | Algorithm::Guided { .. })
-    }
-
     /// Whether CUTOFF applies to this algorithm.
     pub fn supports_cutoff(&self) -> bool {
         matches!(
@@ -379,15 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_classification_matches_table_ii() {
-        assert!(!Algorithm::Block.is_multi_stage());
-        assert!(Algorithm::Dynamic { chunk_pct: 2.0 }.is_multi_stage());
-        assert!(Algorithm::Guided { chunk_pct: 20.0 }.is_multi_stage());
-        assert!(!Algorithm::Model1 { cutoff: None }.is_multi_stage());
-        assert!(!Algorithm::ProfileConst { sample_pct: 10.0, cutoff: None }.is_multi_stage());
-    }
-
-    #[test]
     fn cutoff_support_matches_table_ii_note() {
         assert!(!Algorithm::Block.supports_cutoff());
         assert!(!Algorithm::Dynamic { chunk_pct: 2.0 }.supports_cutoff());
@@ -431,7 +416,6 @@ mod tests {
         .unwrap();
         assert_eq!(b, Algorithm::WorkAssist { min_assist_pct: 10.0, cutoff: Some(0.15) });
         assert!(b.supports_cutoff());
-        assert!(!b.is_multi_stage());
         assert_eq!(a.with_cutoff(0.2).cutoff(), Some(0.2));
     }
 

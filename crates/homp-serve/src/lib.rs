@@ -298,11 +298,6 @@ impl Server {
         &self.rt
     }
 
-    /// Mutable access to the underlying runtime (e.g. fault config).
-    pub fn runtime_mut(&mut self) -> &mut Runtime {
-        &mut self.rt
-    }
-
     /// Serve a batch of requests to completion.
     ///
     /// The event loop keeps one monotone virtual clock `now`: requests

@@ -50,7 +50,7 @@ fn apply(engine: &mut Engine, ops: &[Op]) -> Vec<SimTime> {
                 "c",
             ),
             Op::Launch { dev, after_ms } => {
-                engine.launch(*dev, SimTime::from_secs(after_ms * 1e-3), "l")
+                engine.try_launch(*dev, SimTime::from_secs(after_ms * 1e-3), "l").unwrap()
             }
         })
         .collect()
