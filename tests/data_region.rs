@@ -3,6 +3,11 @@
 //! move no host→device array bytes after the first sweep (halo rows
 //! travel outside the offloads), and produce numerically identical
 //! results to the region-free per-offload path.
+//!
+//! Through the session facade it also checks residency across offload
+//! kinds: a chunk-scheduled offload keeps a whole array resident but
+//! drops loop-aligned rows, and a region's device allocations last
+//! until it closes.
 
 use homp::kernels::jacobi::Jacobi;
 use homp::prelude::*;
@@ -104,4 +109,124 @@ fn facade_data_region_guard_round_trips() {
     assert_eq!(close.flushed_bytes, (n * 8) as u64, "y flushes once at close");
     assert!(close.stats.h2d_elided_bytes >= (2 * n * 8) as u64, "warm offloads elide x");
     assert!(y.iter().all(|&v| v == 6.0));
+}
+
+/// An axpy region over `n` iterations on every device of `four_k40`:
+/// `y` aligned with the loop and mapped `tofrom`, `x` mapped `to` with
+/// the given partition clause (empty for the whole array on each
+/// device), scheduled by `schedule`.
+fn axpy_sources(target: &str, x_partition: &str, schedule: &str) -> [String; 2] {
+    [
+        format!(
+            "#pragma omp parallel {target} device(*) \
+             map(tofrom: y[0:n] partition([ALIGN(loop)])) \
+             map(to: x[0:n]{x_partition}, a, n)"
+        ),
+        format!("#pragma omp parallel for distribute dist_schedule(target:[{schedule}])"),
+    ]
+}
+
+fn axpy_kernel<'a>(x: &'a [f64], y: &'a mut [f64]) -> impl LoopKernel + 'a {
+    FnKernel::new(homp::kernels::axpy::intensity(), move |r: Range| {
+        for i in r.start..r.end {
+            y[i as usize] += 2.0 * x[i as usize];
+        }
+    })
+}
+
+#[test]
+fn chunked_offloads_elide_a_resident_whole_array() {
+    // A chunk-scheduled offload streams the aligned `y` chunk by chunk
+    // but keeps the whole `x` on every device: the two warm offloads
+    // elide `x` on all four, and `y`'s chunks copy back as they finish,
+    // so the close has nothing left to flush.
+    let n = 10_000usize;
+    let mut homp = Homp::new(Machine::four_k40());
+    let mut env = Env::new();
+    env.insert("n".into(), n as i64);
+    let sources = axpy_sources("target data", "", "SCHED_DYNAMIC,10%");
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let mut region = homp
+        .data_region(&sources, &env, CompileOptions::for_loop("axpy", n as u64))
+        .unwrap();
+
+    let x = vec![1.0f64; n];
+    let mut y = vec![0.0f64; n];
+    for _ in 0..3 {
+        region.offload_here(&mut axpy_kernel(&x, &mut y)).run().unwrap();
+    }
+    let close = region.close().unwrap();
+    assert_eq!(close.flushed_bytes, 0, "y copied back chunk by chunk");
+    assert!(
+        close.stats.h2d_elided_bytes >= (2 * 4 * n * 8) as u64,
+        "warm offloads elide the whole x on four devices: {:?}",
+        close.stats
+    );
+    assert!(y.iter().all(|&v| v == 6.0));
+}
+
+#[test]
+fn chunked_offload_between_static_ones_drops_aligned_residency() {
+    // BLOCK leaves each device its rows of `x` and `y`. A DYNAMIC
+    // offload scatters chunks, so it drops those rows, and the next
+    // BLOCK offload uploads both arrays again instead of eliding them.
+    let n = 10_000usize;
+    let mut homp = Homp::new(Machine::four_k40());
+    let mut env = Env::new();
+    env.insert("n".into(), n as i64);
+    let opts = || CompileOptions::for_loop("axpy", n as u64);
+    let aligned = " partition([ALIGN(loop)])";
+    let dynamic = axpy_sources("target", aligned, "SCHED_DYNAMIC,10%");
+    let dynamic: Vec<&str> = dynamic.iter().map(String::as_str).collect();
+    let dynamic = homp.compile_source(&dynamic, &env, opts()).unwrap();
+    let sources = axpy_sources("target data", aligned, "BLOCK");
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let mut region = homp.data_region(&sources, &env, opts()).unwrap();
+
+    let x = vec![1.0f64; n];
+    let mut y = vec![0.0f64; n];
+    region.offload_here(&mut axpy_kernel(&x, &mut y)).run().unwrap();
+    region.offload(&dynamic, &mut axpy_kernel(&x, &mut y)).run().unwrap();
+    let before = *region.stats();
+    region.offload_here(&mut axpy_kernel(&x, &mut y)).run().unwrap();
+    let moved = region.stats().h2d_bytes - before.h2d_bytes;
+    assert!(
+        moved >= (2 * n * 8) as u64,
+        "x and y uploaded again, not elided: {moved} bytes moved"
+    );
+    let close = region.close().unwrap();
+    assert_eq!(close.flushed_bytes, (n * 8) as u64, "the last BLOCK's y rows flush once");
+    assert!(y.iter().all(|&v| v == 6.0));
+}
+
+#[test]
+fn region_allocations_hold_device_memory_until_close() {
+    // Two whole 7 GiB arrays do not fit together on one 12 GiB K40.
+    // Inside a region the first stays allocated after its offload, so
+    // an offload of the second alone runs out of device memory before
+    // any operation runs; once the region closes, the same offload fits.
+    const ELEMS: u64 = (7 << 30) / 8;
+    let whole = |arrays: &[&str]| {
+        let mut b = OffloadRegion::builder("big")
+            .trip_count(1_000)
+            .devices(vec![0])
+            .algorithm(Algorithm::Block);
+        for &name in arrays {
+            b = b.map_1d(name, homp::lang::MapDir::To, ELEMS, 8, homp::lang::DistPolicy::Full);
+        }
+        b.build()
+    };
+    let (a, b) = (whole(&["a"]), whole(&["b"]));
+    let mut kernel = PhantomKernel::new(KernelSpec::Axpy(1_000).intensity());
+    let mut homp = Homp::new(Machine::four_k40());
+
+    let mut region = homp.enter_data_region(whole(&["a", "b"]));
+    region.offload(&a, &mut kernel).run().unwrap();
+    let err = region.offload(&b, &mut kernel).run().unwrap_err();
+    assert!(matches!(err, OffloadError::OutOfDeviceMemory { device: 0, .. }), "{err}");
+    region.close().unwrap();
+
+    let mut region = homp.enter_data_region(whole(&["a", "b"]));
+    region.offload(&b, &mut kernel).run().unwrap();
+    region.close().unwrap();
 }
