@@ -15,8 +15,12 @@ use std::fmt::Write as _;
 /// Two K80 cards with both K40s of a card serializing on one 12 GB/s
 /// slot.
 fn shared_slot_machine() -> Machine {
-    let mut devices =
-        vec![device::nvidia_k40(0, 0), device::nvidia_k40(1, 0), device::nvidia_k40(2, 1), device::nvidia_k40(3, 1)];
+    let mut devices = vec![
+        device::nvidia_k40(0, 0),
+        device::nvidia_k40(1, 0),
+        device::nvidia_k40(2, 1),
+        device::nvidia_k40(3, 1),
+    ];
     for d in &mut devices {
         if let Some(l) = &mut d.link {
             l.hockney = homp_model::Hockney::new(l.hockney.alpha, 12e9);
@@ -30,7 +34,8 @@ fn main() {
 }
 
 fn run() {
-    let specs = [KernelSpec::Axpy(10_000_000), KernelSpec::Sum(300_000_000), KernelSpec::MatMul(6_144)];
+    let specs =
+        [KernelSpec::Axpy(10_000_000), KernelSpec::Sum(300_000_000), KernelSpec::MatMul(6_144)];
     let algs = [Algorithm::Block, Algorithm::Dynamic { chunk_pct: 2.0 }];
 
     println!("== Ablation: dedicated 10 GB/s links vs shared 12 GB/s K80 slots ==");
@@ -41,7 +46,9 @@ fn run() {
     let mut csv = String::from("kernel,algorithm,dedicated_ms,shared_ms,shared_imbalance\n");
     let tasks: Vec<(KernelSpec, Algorithm, bool)> = specs
         .into_iter()
-        .flat_map(|spec| algs.into_iter().flat_map(move |alg| [(spec, alg, false), (spec, alg, true)]))
+        .flat_map(|spec| {
+            algs.into_iter().flat_map(move |alg| [(spec, alg, false), (spec, alg, true)])
+        })
         .collect();
     let reps = par_map(&tasks, jobs(), |_i, &(spec, alg, shared)| {
         let machine = if shared { shared_slot_machine() } else { Machine::four_k40() };

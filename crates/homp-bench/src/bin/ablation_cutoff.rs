@@ -16,11 +16,8 @@ fn main() {
 
 fn run() {
     let machine = Machine::full_node();
-    let specs = [
-        KernelSpec::Axpy(10_000_000),
-        KernelSpec::MatMul(6_144),
-        KernelSpec::Sum(300_000_000),
-    ];
+    let specs =
+        [KernelSpec::Axpy(10_000_000), KernelSpec::MatMul(6_144), KernelSpec::Sum(300_000_000)];
     let ratios = [0.0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40];
 
     // Sweep points in print order; each one is an independent task.

@@ -44,8 +44,7 @@ fn run() {
             ]
         })
         .collect();
-    let times =
-        par_map(&tasks, jobs(), |_i, &(spec, alg, overlap)| run_point(spec, alg, overlap));
+    let times = par_map(&tasks, jobs(), |_i, &(spec, alg, overlap)| run_point(spec, alg, overlap));
     homp_bench::count_cells(tasks.len() as u64);
     for (spec, quad) in KernelSpec::paper_suite().into_iter().zip(times.chunks_exact(4)) {
         let (b_ovl, d_ovl, b_ser, d_ser) = (quad[0], quad[1], quad[2], quad[3]);
@@ -58,15 +57,8 @@ fn run() {
             d_ser,
             (b_ovl - d_ovl) / b_ovl * 100.0
         );
-        let _ = writeln!(
-            csv,
-            "{},{:.6},{:.6},{:.6},{:.6}",
-            spec.label(),
-            b_ovl,
-            d_ovl,
-            b_ser,
-            d_ser
-        );
+        let _ =
+            writeln!(csv, "{},{:.6},{:.6},{:.6},{:.6}", spec.label(), b_ovl, d_ovl, b_ser, d_ser);
     }
     println!("\n(without overlap, SCHED_DYNAMIC loses its advantage and pays pure");
     println!(" per-chunk overhead — the Table II 'High overhead / Multiple stages' row)");

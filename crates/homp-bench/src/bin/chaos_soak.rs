@@ -162,7 +162,8 @@ fn run_cell(
                 y[i as usize] += a * x[i as usize];
             }
         });
-        rt.offload(&region(alg), &mut k).run()
+        rt.offload(&region(alg), &mut k)
+            .run()
             .unwrap_or_else(|e| panic!("{label}: offload must survive the schedule: {e}"))
     };
     assert!(hits.iter().all(|&h| h == 1), "{label}: every iteration exactly once");

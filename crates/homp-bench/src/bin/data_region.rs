@@ -28,13 +28,10 @@ fn run() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("data_region: --seed needs an integer");
-                        std::process::exit(2)
-                    });
+                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("data_region: --seed needs an integer");
+                    std::process::exit(2)
+                });
             }
             other => {
                 eprintln!("data_region: unknown flag {other:?}");
@@ -48,19 +45,13 @@ fn run() {
 
     let mut resident_grid = Jacobi::new(N, M);
     let mut rt = Runtime::new(machine.clone(), seed);
-    let resident = resident_grid.run_distributed(
-        &mut rt,
-        devices.clone(),
-        Algorithm::Block,
-        SWEEPS,
-        0.0,
-    );
+    let resident =
+        resident_grid.run_distributed(&mut rt, devices.clone(), Algorithm::Block, SWEEPS, 0.0);
     let stats = *rt.transfer_stats();
 
     let mut free_grid = Jacobi::new(N, M);
     let mut rt_free = Runtime::new(machine, seed);
-    let baseline =
-        free_grid.run_per_offload(&mut rt_free, devices, Algorithm::Block, SWEEPS, 0.0);
+    let baseline = free_grid.run_per_offload(&mut rt_free, devices, Algorithm::Block, SWEEPS, 0.0);
     homp_bench::count_cells(2);
 
     assert_eq!(resident_grid.u, free_grid.u, "region must not change the math");

@@ -49,8 +49,7 @@ const QUICK_DIV: u64 = 20;
 /// calendar, unconditional full-trace append, per-call scratch
 /// allocations), with this same binary. The acceptance bar is ≥ 3×.
 const BASELINE_EVENTS_PER_SEC: f64 = 9_314_453.0;
-const BASELINE_LABEL: &str =
-    "pre-PR8 engine: HashMap bus calendar, unconditional trace append";
+const BASELINE_LABEL: &str = "pre-PR8 engine: HashMap bus calendar, unconditional trace append";
 
 /// axpy-like per-iteration intensity (2 flops, 3 elements touched).
 fn intensity() -> KernelIntensity {
@@ -80,13 +79,7 @@ fn torture_region(trip: u64, alg: Algorithm) -> OffloadRegion {
         .devices(devices)
         .algorithm(alg)
         .map_1d("x", MapDir::To, trip, 8, DistPolicy::Align { target: "loop".into(), ratio: 1 })
-        .map_1d(
-            "y",
-            MapDir::ToFrom,
-            trip,
-            8,
-            DistPolicy::Align { target: "loop".into(), ratio: 1 },
-        )
+        .map_1d("y", MapDir::ToFrom, trip, 8, DistPolicy::Align { target: "loop".into(), ratio: 1 })
         .build()
 }
 
@@ -130,7 +123,12 @@ fn raw_ops(seed: u64, quick: bool) -> Scenario {
         }
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    Scenario { name: "raw_ops", chunks: rounds * DEVICES as u64, events: e.ops_submitted() - ops0, wall_s }
+    Scenario {
+        name: "raw_ops",
+        chunks: rounds * DEVICES as u64,
+        events: e.ops_submitted() - ops0,
+        wall_s,
+    }
 }
 
 /// The headline torture: `chunks` dynamic chunks over 64 devices.
@@ -157,8 +155,7 @@ fn work_assist(seed: u64, quick: bool) -> Scenario {
     let trip: u64 = 1_000_000;
     let mut rt =
         RuntimeConfig::new().seed(seed).trace_level(TraceLevel::Off).build(torture_machine());
-    let region =
-        torture_region(trip, Algorithm::WorkAssist { min_assist_pct: 0.5, cutoff: None });
+    let region = torture_region(trip, Algorithm::WorkAssist { min_assist_pct: 0.5, cutoff: None });
     let ops0 = rt.sim_ops();
     let mut chunks = 0u64;
     let t0 = Instant::now();
@@ -175,11 +172,7 @@ fn work_assist(seed: u64, quick: bool) -> Scenario {
 
 fn run_suite(seed: u64, quick: bool) -> Vec<Scenario> {
     let chunks = if quick { FULL_CHUNKS / QUICK_DIV } else { FULL_CHUNKS };
-    let out = vec![
-        raw_ops(seed, quick),
-        chunked_dynamic(seed, chunks),
-        work_assist(seed, quick),
-    ];
+    let out = vec![raw_ops(seed, quick), chunked_dynamic(seed, chunks), work_assist(seed, quick)];
     for s in &out {
         println!(
             "[torture] scenario={} chunks={} events={} wall_s={:.4} events_per_sec={:.0}",

@@ -19,33 +19,33 @@ fn main() {
 
 fn run() {
     let machine = Machine::full_node();
-    let specs = [KernelSpec::Axpy(10_000_000), KernelSpec::MatMul(6_144), KernelSpec::Sum(300_000_000)];
+    let specs =
+        [KernelSpec::Axpy(10_000_000), KernelSpec::MatMul(6_144), KernelSpec::Sum(300_000_000)];
 
     // The learned-offload sequence of a kernel is inherently serial (each
     // offload feeds the next one's history), so parallelism is across
     // kernels: one task per spec, printed in order afterwards.
-    let results: Vec<(f64, f64, Vec<OffloadReport>)> =
-        par_map(&specs, jobs(), |_i, &spec| {
-            let baseline = |alg: Algorithm| {
-                let mut rt = Runtime::new(machine.clone(), SEED);
-                let region = spec.region((0..7).collect(), alg);
-                let mut k = PhantomKernel::new(spec.intensity());
-                rt.offload(&region, &mut k).run().unwrap().time_ms()
-            };
-            let m1 = baseline(Algorithm::Model1 { cutoff: None });
-            let m2 = baseline(Algorithm::Model2 { cutoff: None });
-
+    let results: Vec<(f64, f64, Vec<OffloadReport>)> = par_map(&specs, jobs(), |_i, &spec| {
+        let baseline = |alg: Algorithm| {
             let mut rt = Runtime::new(machine.clone(), SEED);
-            let mut db = HistoryDb::new();
-            let region = spec.region((0..7).collect(), Algorithm::Model1 { cutoff: None });
-            let reps = (0..6)
-                .map(|_| {
-                    let mut k = PhantomKernel::new(spec.intensity());
-                    rt.offload(&region, &mut k).history(&mut db).run().unwrap()
-                })
-                .collect();
-            (m1, m2, reps)
-        });
+            let region = spec.region((0..7).collect(), alg);
+            let mut k = PhantomKernel::new(spec.intensity());
+            rt.offload(&region, &mut k).run().unwrap().time_ms()
+        };
+        let m1 = baseline(Algorithm::Model1 { cutoff: None });
+        let m2 = baseline(Algorithm::Model2 { cutoff: None });
+
+        let mut rt = Runtime::new(machine.clone(), SEED);
+        let mut db = HistoryDb::new();
+        let region = spec.region((0..7).collect(), Algorithm::Model1 { cutoff: None });
+        let reps = (0..6)
+            .map(|_| {
+                let mut k = PhantomKernel::new(spec.intensity());
+                rt.offload(&region, &mut k).history(&mut db).run().unwrap()
+            })
+            .collect();
+        (m1, m2, reps)
+    });
     homp_bench::count_cells(8 * specs.len() as u64); // 2 baselines + 6 learned offloads each
 
     let mut csv = String::from("kernel,offload_index,learned_ms,model1_ms,model2_ms\n");
@@ -58,15 +58,8 @@ fn run() {
                 rep.time_ms(),
                 rep.counts.iter().filter(|&&c| c > 0).count()
             );
-            let _ = writeln!(
-                csv,
-                "{},{},{:.6},{:.6},{:.6}",
-                spec.label(),
-                i,
-                rep.time_ms(),
-                m1,
-                m2
-            );
+            let _ =
+                writeln!(csv, "{},{},{:.6},{:.6},{:.6}", spec.label(), i, rep.time_ms(), m1, m2);
         }
         println!();
     }

@@ -25,9 +25,8 @@ fn run() {
     // independent task; results land by index, so the fan-out cannot
     // reorder them.
     let machines: Vec<Machine> = (1..=4).map(Machine::k40s).collect();
-    let tasks: Vec<(usize, usize)> = (0..machines.len())
-        .flat_map(|mi| (0..specs.len()).map(move |si| (mi, si)))
-        .collect();
+    let tasks: Vec<(usize, usize)> =
+        (0..machines.len()).flat_map(|mi| (0..specs.len()).map(move |si| (mi, si))).collect();
     let times = par_map(&tasks, jobs(), |_i, &(mi, si)| {
         let spec = specs[si];
         let t = algorithms
@@ -44,10 +43,7 @@ fn run() {
     }
 
     println!("== Fig. 7: speedup over 1 GPU (best policy per point) ==");
-    println!(
-        "{:<16} {:>8} {:>8} {:>8} {:>8}",
-        "kernel", "1 GPU", "2 GPUs", "3 GPUs", "4 GPUs"
-    );
+    println!("{:<16} {:>8} {:>8} {:>8} {:>8}", "kernel", "1 GPU", "2 GPUs", "3 GPUs", "4 GPUs");
     let mut csv = String::from("kernel,gpus,best_ms,speedup\n");
     for (si, spec) in specs.iter().enumerate() {
         let base = best[si][0];

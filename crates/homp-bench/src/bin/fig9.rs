@@ -10,8 +10,7 @@
 //! (100/7 ≈ 15%).
 
 use homp_bench::{
-    best_cell, experiment, format_matrix, grid_csv, run_grid, seed_from_args,
-    write_artifact, Cell,
+    best_cell, experiment, format_matrix, grid_csv, run_grid, seed_from_args, write_artifact, Cell,
 };
 use homp_core::Algorithm;
 use homp_kernels::KernelSpec;

@@ -22,8 +22,9 @@ fn run() {
     let specs = KernelSpec::paper_suite();
     let algorithms = Algorithm::paper_suite();
 
-    let mut csv =
-        String::from("machine,kernel,heuristic_choice,empirical_best,heuristic_ms,best_ms,slowdown\n");
+    let mut csv = String::from(
+        "machine,kernel,heuristic_choice,empirical_best,heuristic_ms,best_ms,slowdown\n",
+    );
     println!("== Heuristic selection vs empirical best ==");
     let mut slowdowns = Vec::new();
 
@@ -33,11 +34,8 @@ fn run() {
         let devices: Vec<u32> = (0..machine.len() as u32).collect();
         println!("\n-- machine: {} --", machine.name);
         for (spec, row) in specs.iter().zip(&grid) {
-            let chosen = rt.resolve_auto(
-                Algorithm::Auto { cutoff: None },
-                &spec.intensity(),
-                &devices,
-            );
+            let chosen =
+                rt.resolve_auto(Algorithm::Auto { cutoff: None }, &spec.intensity(), &devices);
             let chosen_label = chosen.to_string();
             let chosen_cell = row
                 .iter()

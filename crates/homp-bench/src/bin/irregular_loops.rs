@@ -68,9 +68,7 @@ fn run() {
     // single runtime via `reset_with_seed`.
     let tasks: Vec<(&str, CostProfile, Algorithm)> = profiles
         .iter()
-        .flat_map(|&(pname, profile)| {
-            algorithms.iter().map(move |&alg| (pname, profile, alg))
-        })
+        .flat_map(|&(pname, profile)| algorithms.iter().map(move |&alg| (pname, profile, alg)))
         .collect();
     let averages = par_map(&tasks, jobs(), |_i, &(_, profile, alg)| {
         let mut rt = Runtime::new(Machine::four_k40(), SEED);

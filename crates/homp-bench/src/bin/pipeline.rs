@@ -12,8 +12,7 @@
 //! golden `results/golden/pipeline_seed42.json`.
 
 use homp_core::{
-    Algorithm, ChunkingPolicy, FnPipelineKernel, OffloadRegion, Pipeline, PipelineReport,
-    Runtime,
+    Algorithm, ChunkingPolicy, FnPipelineKernel, OffloadRegion, Pipeline, PipelineReport, Runtime,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
@@ -139,8 +138,10 @@ fn run() {
     println!("  \"jacobi_chain\": [");
     let mut cells = 0u64;
     let depths = [2usize, 4, 8];
-    let policies =
-        [("per-device", ChunkingPolicy::PerDevice), ("4-per-device", ChunkingPolicy::PerDeviceChunks(4))];
+    let policies = [
+        ("per-device", ChunkingPolicy::PerDevice),
+        ("4-per-device", ChunkingPolicy::PerDeviceChunks(4)),
+    ];
     for (di, &depth) in depths.iter().enumerate() {
         let barrier = run_pipeline(
             &chain(depth, &devices, false, ChunkingPolicy::PerDevice),
@@ -201,10 +202,7 @@ fn run() {
     println!("    \"overlapped_ms\": {:.6},", over.makespan.as_millis());
     println!("    \"overlap_ms\": {:.6},", over.overlap().as_millis());
     println!("    \"boundary_idle_ms\": {:.6},", over.boundary_idle.as_millis());
-    println!(
-        "    \"speedup\": {:.6}",
-        barrier.makespan.as_secs() / over.makespan.as_secs()
-    );
+    println!("    \"speedup\": {:.6}", barrier.makespan.as_secs() / over.makespan.as_secs());
     println!("  }}");
     println!("}}");
 }

@@ -37,7 +37,8 @@ fn assert_single_tenant_identity(machine: &Machine, seed: u64) {
 
     let mut rt = Runtime::new(machine.clone(), seed);
     let mut k = PhantomKernel::new(spec.intensity());
-    let direct = rt.offload(&spec.region(devices.clone(), alg), &mut k).run().expect("direct offload");
+    let direct =
+        rt.offload(&spec.region(devices.clone(), alg), &mut k).run().expect("direct offload");
 
     let mut srv = Server::new(machine.clone(), seed);
     let served = srv

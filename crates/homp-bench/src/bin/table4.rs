@@ -12,10 +12,7 @@ fn main() {
 
 fn run() {
     println!("== Table IV: benchmark characteristics ==");
-    println!(
-        "{:<24} {:<12} {:>10} {:>10}   class",
-        "kernel", "size", "MemComp", "DataComp"
-    );
+    println!("{:<24} {:<12} {:>10} {:>10}   class", "kernel", "size", "MemComp", "DataComp");
     let mut csv = String::from("kernel,size,mem_comp,data_comp,class\n");
     for row in table_iv_paper_sizes() {
         println!(

@@ -73,11 +73,8 @@ fn run() {
             "{:<16} {:>24} {:>16.2}  ({})",
             matched.kernel, devices, speedup, matched.algorithm
         );
-        let _ = writeln!(
-            csv,
-            "{},{},{:.4},{}",
-            matched.kernel, devices, speedup, matched.algorithm
-        );
+        let _ =
+            writeln!(csv, "{},{},{:.4},{}", matched.kernel, devices, speedup, matched.algorithm);
     }
     println!("\n(paper: speedups 0.56-3.43; GPUs-only for matmul/matvec/stencil,");
     println!(" CPU+GPUs for axpy/bm/sum; one regression below 1.0 is expected)");

@@ -72,11 +72,7 @@ pub fn experiment(name: &str, f: impl FnOnce()) {
     let start = std::time::Instant::now();
     f();
     let wall = start.elapsed().as_secs_f64();
-    eprintln!(
-        "[harness] name={name} wall_s={wall:.6} jobs={} cells={}",
-        jobs(),
-        cells_simulated()
-    );
+    eprintln!("[harness] name={name} wall_s={wall:.6} jobs={} cells={}", jobs(), cells_simulated());
 }
 
 /// One cell of a result grid.
@@ -141,12 +137,7 @@ pub fn run_one(machine: &Machine, spec: KernelSpec, alg: Algorithm, seed: u64) -
 /// (e.g. a static plan whose per-device mapping exceeds device memory —
 /// matvec-48k's 18 GB matrix on a single 12 GB K40). Chunked algorithms
 /// stream and typically still fit.
-pub fn try_run_one(
-    machine: &Machine,
-    spec: KernelSpec,
-    alg: Algorithm,
-    seed: u64,
-) -> Option<Cell> {
+pub fn try_run_one(machine: &Machine, spec: KernelSpec, alg: Algorithm, seed: u64) -> Option<Cell> {
     let mut rt = Runtime::new(machine.clone(), seed);
     let devices = (0..machine.len() as u32).collect();
     let region = spec.region(devices, alg);
@@ -175,10 +166,8 @@ pub fn run_grid_jobs(
     seed: u64,
     jobs: usize,
 ) -> Vec<Vec<Cell>> {
-    let tasks: Vec<(KernelSpec, Algorithm)> = specs
-        .iter()
-        .flat_map(|&spec| algorithms.iter().map(move |&alg| (spec, alg)))
-        .collect();
+    let tasks: Vec<(KernelSpec, Algorithm)> =
+        specs.iter().flat_map(|&spec| algorithms.iter().map(move |&alg| (spec, alg))).collect();
     let flat = par_map(&tasks, jobs, |_i, &(spec, alg)| run_one(machine, spec, alg, seed));
     let mut cells = flat.into_iter();
     specs.iter().map(|_| cells.by_ref().take(algorithms.len()).collect()).collect()
@@ -226,10 +215,7 @@ pub fn format_matrix(
     // Winner row, as the paper discusses "best policy per kernel".
     let _ = write!(out, "{:<28}", "BEST");
     for row in grid {
-        let best = row
-            .iter()
-            .min_by(|a, b| metric(a).partial_cmp(&metric(b)).unwrap())
-            .unwrap();
+        let best = row.iter().min_by(|a, b| metric(a).partial_cmp(&metric(b)).unwrap()).unwrap();
         let _ = write!(out, "{:>15}", best.algorithm.split(',').next().unwrap());
     }
     out.push('\n');
@@ -286,12 +272,7 @@ mod tests {
 
     #[test]
     fn run_one_produces_sane_cell() {
-        let c = run_one(
-            &Machine::four_k40(),
-            KernelSpec::Stencil2d(256),
-            Algorithm::Block,
-            1,
-        );
+        let c = run_one(&Machine::four_k40(), KernelSpec::Stencil2d(256), Algorithm::Block, 1);
         assert_eq!(c.kernel, "stencil2d-256");
         assert!(c.ms() > 0.0);
     }

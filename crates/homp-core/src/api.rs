@@ -45,9 +45,7 @@
 //! assert!(report.time_ms() > 0.0);
 //! ```
 
-use crate::compile::{
-    compile, compile_data_region, compile_update, CompileError, CompileOptions,
-};
+use crate::compile::{compile, compile_data_region, compile_update, CompileError, CompileOptions};
 use crate::map::PlanError;
 use crate::offload::OffloadRegion;
 use crate::pipeline::{Pipeline, PipelineKernel, PipelineReport};
@@ -217,9 +215,7 @@ impl Homp {
     ) -> Result<homp_sim::SimSpan, HompError> {
         let d = parse_directive(directive_src)?;
         if !d.constructs.contains(&homp_lang::ConstructKeyword::HaloExchange) {
-            return Err(HompError::HaloExchange(
-                "directive is not a halo_exchange".into(),
-            ));
+            return Err(HompError::HaloExchange("directive is not a halo_exchange".into()));
         }
         let var = d.halo_exchange_var.clone().ok_or_else(|| {
             HompError::HaloExchange("halo_exchange needs a variable: halo_exchange (v)".into())
@@ -413,7 +409,11 @@ mod tests {
     fn bad_directive_surfaces_parse_error() {
         let homp = Homp::new(Machine::four_k40());
         let err = homp
-            .compile_source(&["#pragma omp frobnicate"], &Env::new(), CompileOptions::for_loop("k", 1))
+            .compile_source(
+                &["#pragma omp frobnicate"],
+                &Env::new(),
+                CompileOptions::for_loop("k", 1),
+            )
             .unwrap_err();
         assert!(matches!(err, HompError::Parse(_)));
     }
@@ -494,19 +494,14 @@ mod more_tests {
             )
             .unwrap();
         let dist = crate::dist::Distribution::block(64, 4);
-        let span = homp
-            .halo_exchange("#pragma omp halo_exchange (uold)", &region, &dist)
-            .unwrap();
+        let span = homp.halo_exchange("#pragma omp halo_exchange (uold)", &region, &dist).unwrap();
         assert!(span.as_secs() > 0.0, "GPUs pay for boundary rows");
 
-        let err = homp
-            .halo_exchange("#pragma omp halo_exchange (ghost)", &region, &dist)
-            .unwrap_err();
+        let err =
+            homp.halo_exchange("#pragma omp halo_exchange (ghost)", &region, &dist).unwrap_err();
         assert!(err.to_string().contains("not mapped"), "{err}");
 
-        let err = homp
-            .halo_exchange("#pragma omp parallel for", &region, &dist)
-            .unwrap_err();
+        let err = homp.halo_exchange("#pragma omp parallel for", &region, &dist).unwrap_err();
         assert!(err.to_string().contains("not a halo_exchange"), "{err}");
     }
 
@@ -523,9 +518,7 @@ mod more_tests {
             )
             .unwrap();
         let dist = crate::dist::Distribution::block(64, 4);
-        let err = homp
-            .halo_exchange("#pragma omp halo_exchange (u)", &region, &dist)
-            .unwrap_err();
+        let err = homp.halo_exchange("#pragma omp halo_exchange (u)", &region, &dist).unwrap_err();
         assert!(err.to_string().contains("without halo"), "{err}");
     }
 
@@ -594,10 +587,8 @@ mod more_tests {
         // Updates against unmapped arrays fail cleanly.
         let mut region = homp
             .data_region(
-                &[
-                    "#pragma omp parallel target data device(*) \
-                     map(to: x[0:n] partition([ALIGN(loop)]))",
-                ],
+                &["#pragma omp parallel target data device(*) \
+                     map(to: x[0:n] partition([ALIGN(loop)]))"],
                 &env,
                 CompileOptions::for_loop("axpy", 1_000),
             )
@@ -614,10 +605,8 @@ mod more_tests {
         {
             let _region = homp
                 .data_region(
-                    &[
-                        "#pragma omp parallel target data device(*) \
-                         map(to: x[0:n] partition([ALIGN(loop)]))",
-                    ],
+                    &["#pragma omp parallel target data device(*) \
+                         map(to: x[0:n] partition([ALIGN(loop)]))"],
                     &env,
                     CompileOptions::for_loop("k", 100),
                 )
@@ -648,10 +637,8 @@ mod more_tests {
             homp.offload(&region, &mut k).run().unwrap().makespan
         };
         let mut a = Homp::with_seed(Machine::four_k40(), 7);
-        let mut b = Homp::with_config(
-            Machine::four_k40(),
-            &crate::runtime::RuntimeConfig::new().seed(7),
-        );
+        let mut b =
+            Homp::with_config(Machine::four_k40(), &crate::runtime::RuntimeConfig::new().seed(7));
         assert_eq!(mk(&mut a), mk(&mut b));
     }
 
@@ -664,10 +651,8 @@ mod more_tests {
         env.insert("devid".into(), 2);
         let region = homp
             .compile_source(
-                &[
-                    "#pragma omp target device(devid) \
-                     map(to: x[0:n] partition([ALIGN(loop)]))",
-                ],
+                &["#pragma omp target device(devid) \
+                     map(to: x[0:n] partition([ALIGN(loop)]))"],
                 &env,
                 crate::compile::CompileOptions::for_loop("single", 1_000),
             )

@@ -12,8 +12,8 @@
 use crate::offload::{ArrayMap, OffloadRegion};
 use crate::sched::Algorithm;
 use homp_lang::{
-    resolve_devices_with_env, Clause, Directive, DistPolicy, Env, EvalError, MapItem,
-    ResolveError, ScheduleKind,
+    resolve_devices_with_env, Clause, Directive, DistPolicy, Env, EvalError, MapItem, ResolveError,
+    ScheduleKind,
 };
 use homp_model::KernelIntensity;
 
@@ -208,10 +208,7 @@ pub fn compile(
     opts: &CompileOptions,
 ) -> Result<OffloadRegion, CompileError> {
     // ---- devices -------------------------------------------------------
-    let spec = directives
-        .iter()
-        .find_map(|d| d.device())
-        .ok_or(CompileError::NoDeviceClause)?;
+    let spec = directives.iter().find_map(|d| d.device()).ok_or(CompileError::NoDeviceClause)?;
     let devices = resolve_devices_with_env(spec, device_types, env)?;
 
     // ---- schedule ------------------------------------------------------
@@ -417,17 +414,12 @@ mod tests {
              map(to: x[0:n] partition([ALIGN(loop)]),a,n)",
         )
         .unwrap();
-        let lp = parse_directive(
-            "#pragma omp parallel for distribute dist_schedule(target:[AUTO])",
-        )
-        .unwrap();
-        let region = compile(
-            &[&data, &lp],
-            &env_n(1000),
-            FULL,
-            &CompileOptions::for_loop("axpy", 1000),
-        )
-        .unwrap();
+        let lp =
+            parse_directive("#pragma omp parallel for distribute dist_schedule(target:[AUTO])")
+                .unwrap();
+        let region =
+            compile(&[&data, &lp], &env_n(1000), FULL, &CompileOptions::for_loop("axpy", 1000))
+                .unwrap();
         assert_eq!(region.devices.len(), 7);
         assert_eq!(region.trip_count, 1000);
         assert_eq!(region.arrays.len(), 2);
@@ -436,10 +428,7 @@ mod tests {
         assert!(region.parallel_offload);
         let y = region.array("y").unwrap();
         assert_eq!(y.dims, vec![1000]);
-        assert_eq!(
-            y.partition[0],
-            DistPolicy::Align { target: "loop".into(), ratio: 1 }
-        );
+        assert_eq!(y.partition[0], DistPolicy::Align { target: "loop".into(), ratio: 1 });
     }
 
     #[test]
@@ -450,17 +439,12 @@ mod tests {
              map(to: x[0:n] partition([BLOCK]),a,n)",
         )
         .unwrap();
-        let lp = parse_directive(
-            "#pragma omp parallel for distribute dist_schedule(target:[ALIGN(x)])",
-        )
-        .unwrap();
-        let region = compile(
-            &[&data, &lp],
-            &env_n(500),
-            FULL,
-            &CompileOptions::for_loop("axpy", 500),
-        )
-        .unwrap();
+        let lp =
+            parse_directive("#pragma omp parallel for distribute dist_schedule(target:[ALIGN(x)])")
+                .unwrap();
+        let region =
+            compile(&[&data, &lp], &env_n(500), FULL, &CompileOptions::for_loop("axpy", 500))
+                .unwrap();
         assert_eq!(region.loop_align, Some(("x".into(), 1)));
     }
 
@@ -534,10 +518,7 @@ mod tests {
 
     #[test]
     fn unbound_variable_is_error() {
-        let d = parse_directive(
-            "#pragma omp target device(*) map(to: x[0:missing])",
-        )
-        .unwrap();
+        let d = parse_directive("#pragma omp target device(*) map(to: x[0:missing])").unwrap();
         match compile(&[&d], &Env::new(), FULL, &CompileOptions::for_loop("k", 10)) {
             Err(CompileError::Eval(EvalError::Unbound(v))) => assert_eq!(v, "missing"),
             other => panic!("{other:?}"),
@@ -632,10 +613,8 @@ mod tests {
 
     #[test]
     fn lowers_target_update() {
-        let d = parse_directive(
-            "#pragma omp target update to(f[0:n], coeffs) from(u[0:n])",
-        )
-        .unwrap();
+        let d =
+            parse_directive("#pragma omp target update to(f[0:n], coeffs) from(u[0:n])").unwrap();
         let spec = compile_update(&d).unwrap();
         assert_eq!(spec.to, vec!["f".to_string(), "coeffs".to_string()]);
         assert_eq!(spec.from, vec!["u".to_string()]);

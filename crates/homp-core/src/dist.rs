@@ -25,11 +25,7 @@ pub struct Distribution {
 impl Distribution {
     /// `FULL`: every one of `n_devices` sees the whole range.
     pub fn full(total: u64, n_devices: usize) -> Self {
-        Self {
-            total,
-            ranges: vec![Range::new(0, total); n_devices],
-            replicated: true,
-        }
+        Self { total, ranges: vec![Range::new(0, total); n_devices], replicated: true }
     }
 
     /// `BLOCK`: contiguous even blocks (earlier devices get the
@@ -56,7 +52,11 @@ impl Distribution {
     pub fn from_counts(total: u64, counts: &[u64]) -> Self {
         let sum: u64 = counts.iter().sum();
         assert_eq!(sum, total, "counts must cover the space exactly");
-        Self { total, ranges: counts_to_ranges(counts).into_iter().map(|(s, e)| Range::new(s, e)).collect(), replicated: false }
+        Self {
+            total,
+            ranges: counts_to_ranges(counts).into_iter().map(|(s, e)| Range::new(s, e)).collect(),
+            replicated: false,
+        }
     }
 
     /// From fractional shares, apportioned to integers.
@@ -208,9 +208,7 @@ mod tests {
     #[test]
     fn array_dist_elems() {
         // u[0:8][0:10] with partition([BLOCK], FULL) over 4 devices.
-        let a = ArrayDist {
-            dims: vec![Distribution::block(8, 4), Distribution::full(10, 4)],
-        };
+        let a = ArrayDist { dims: vec![Distribution::block(8, 4), Distribution::full(10, 4)] };
         assert_eq!(a.total_elems(), 80);
         assert_eq!(a.elems_for(0), 2 * 10);
         let total: u64 = (0..4).map(|d| a.elems_for(d)).sum();

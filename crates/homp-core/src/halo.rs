@@ -33,8 +33,7 @@ pub fn plan_exchange(dist: &Distribution, w: u64) -> Vec<HaloTransfer> {
     }
     // Owners with non-empty blocks, in space order (block dists are laid
     // out contiguously in slot order, but skip empty slots).
-    let owners: Vec<usize> =
-        (0..dist.n_devices()).filter(|&s| !dist.range(s).is_empty()).collect();
+    let owners: Vec<usize> = (0..dist.n_devices()).filter(|&s| !dist.range(s).is_empty()).collect();
     for pair in owners.windows(2) {
         let (a, b) = (pair[0], pair[1]);
         let ra = dist.range(a);

@@ -110,10 +110,7 @@ impl HistoryDb {
         if iters == 0 || seconds <= 0.0 {
             return;
         }
-        self.fits
-            .entry((kernel.to_string(), device))
-            .or_default()
-            .add(iters, seconds);
+        self.fits.entry((kernel.to_string(), device)).or_default().add(iters, seconds);
     }
 
     /// Predicted throughput (iterations/second) of `kernel` on `device`
@@ -130,10 +127,7 @@ impl HistoryDb {
     /// Whether every device in `devices` has history for `kernel`.
     pub fn covers(&self, kernel: &str, devices: &[DeviceId]) -> bool {
         devices.iter().all(|d| {
-            self.fits
-                .get(&(kernel.to_string(), *d))
-                .map(|f| f.samples() > 0)
-                .unwrap_or(false)
+            self.fits.get(&(kernel.to_string(), *d)).map(|f| f.samples() > 0).unwrap_or(false)
         })
     }
 

@@ -144,8 +144,10 @@ pub fn run_guided<F>(
 where
     F: Fn(usize, Range) + Sync,
 {
-    let policy =
-        GuidedChunks { first_chunk: first_chunk.max(1), min_chunk: min_chunk.clamp(1, first_chunk.max(1)) };
+    let policy = GuidedChunks {
+        first_chunk: first_chunk.max(1),
+        min_chunk: min_chunk.clamp(1, first_chunk.max(1)),
+    };
     run_with_policy(trip_count, n_workers, &policy, &body)
 }
 
@@ -175,20 +177,15 @@ where
 /// host-side analogue): stage 1 gives every worker an equal sample and
 /// measures wall-clock throughput; stage 2 distributes the remainder
 /// proportionally to the measured rates.
-pub fn run_profiled<F>(
-    trip_count: u64,
-    n_workers: usize,
-    sample_pct: f64,
-    body: F,
-) -> HostReport
+pub fn run_profiled<F>(trip_count: u64, n_workers: usize, sample_pct: f64, body: F) -> HostReport
 where
     F: Fn(usize, Range) + Sync,
 {
     assert!(n_workers > 0, "need at least one worker");
     let start = Instant::now();
-    let sample_total =
-        (((trip_count as f64 * sample_pct / 100.0).round() as u64).max(n_workers as u64))
-            .min(trip_count);
+    let sample_total = (((trip_count as f64 * sample_pct / 100.0).round() as u64)
+        .max(n_workers as u64))
+    .min(trip_count);
     // Equal samples per worker, remainder to the leading workers.
     let base = sample_total / n_workers as u64;
     let rem = sample_total % n_workers as u64;
@@ -318,8 +315,7 @@ mod tests {
         let a = 1.5f64;
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let mut y: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let expected: Vec<f64> =
-            y.iter().zip(&x).map(|(yy, xx)| yy + a * xx).collect();
+        let expected: Vec<f64> = y.iter().zip(&x).map(|(yy, xx)| yy + a * xx).collect();
         {
             let dj = DisjointMut::new(&mut y);
             let xs = &x;
@@ -399,11 +395,6 @@ mod tests {
             }
         });
         let others: u64 = report.counts[1..].iter().sum();
-        assert!(
-            report.counts[0] < others,
-            "slow worker {} vs others {}",
-            report.counts[0],
-            others
-        );
+        assert!(report.counts[0] < others, "slow worker {} vs others {}", report.counts[0], others);
     }
 }

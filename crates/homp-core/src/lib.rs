@@ -58,8 +58,8 @@ pub use history::{AffineFit, HistoryDb};
 pub use map::{DataPlan, PlanError};
 pub use offload::{ArrayMap, OffloadRegion, OffloadRegionBuilder};
 pub use pipeline::{
-    ChunkingPolicy, FnPipelineKernel, Pipeline, PipelineBuilder, PipelineKernel,
-    PipelineReport, StageLink,
+    ChunkingPolicy, FnPipelineKernel, Pipeline, PipelineBuilder, PipelineKernel, PipelineReport,
+    StageLink,
 };
 pub use region::Range;
 pub use report::{ChunkDecision, PredictionSource, PredictionStats, RunReport};

@@ -442,12 +442,36 @@ mod tests {
             .loop_label("loop1")
             .trip_count(n)
             .devices(vec![0, 1, 2, 3])
-            .map_2d("f", MapDir::To, n, m, 8,
-                DistPolicy::Align { target: "loop1".into(), ratio: 1 }, DistPolicy::Full, None)
-            .map_2d("u", MapDir::ToFrom, n, m, 8,
-                DistPolicy::Align { target: "loop1".into(), ratio: 1 }, DistPolicy::Full, None)
-            .map_2d("uold", MapDir::Alloc, n, m, 8,
-                DistPolicy::Align { target: "loop1".into(), ratio: 1 }, DistPolicy::Full, Some(1))
+            .map_2d(
+                "f",
+                MapDir::To,
+                n,
+                m,
+                8,
+                DistPolicy::Align { target: "loop1".into(), ratio: 1 },
+                DistPolicy::Full,
+                None,
+            )
+            .map_2d(
+                "u",
+                MapDir::ToFrom,
+                n,
+                m,
+                8,
+                DistPolicy::Align { target: "loop1".into(), ratio: 1 },
+                DistPolicy::Full,
+                None,
+            )
+            .map_2d(
+                "uold",
+                MapDir::Alloc,
+                n,
+                m,
+                8,
+                DistPolicy::Align { target: "loop1".into(), ratio: 1 },
+                DistPolicy::Full,
+                Some(1),
+            )
             .build();
         let plan = DataPlan::new(&r, 4).unwrap();
         let row = m * 8;
@@ -463,13 +487,7 @@ mod tests {
         let r = OffloadRegion::builder("bad")
             .trip_count(100)
             .devices(vec![0])
-            .map_1d(
-                "x",
-                MapDir::To,
-                50,
-                8,
-                DistPolicy::Align { target: "loop".into(), ratio: 1 },
-            )
+            .map_1d("x", MapDir::To, 50, 8, DistPolicy::Align { target: "loop".into(), ratio: 1 })
             .build();
         match DataPlan::new(&r, 1) {
             Err(PlanError::ExtentMismatch { array, extent, expected }) => {
@@ -487,13 +505,7 @@ mod tests {
         let r = OffloadRegion::builder("strided")
             .trip_count(100)
             .devices(vec![0])
-            .map_1d(
-                "x",
-                MapDir::To,
-                200,
-                8,
-                DistPolicy::Align { target: "loop".into(), ratio: 2 },
-            )
+            .map_1d("x", MapDir::To, 200, 8, DistPolicy::Align { target: "loop".into(), ratio: 2 })
             .build();
         let plan = DataPlan::new(&r, 1).unwrap();
         assert_eq!(plan.h2d_per_iter(), 16.0);
@@ -603,16 +615,24 @@ mod tests {
         assert_eq!(plan(b, 1 << 62), overflow("x"));
         // A slot's sums: two 2^63-byte replicated arrays, and scalars
         // plus one.
-        let b = OffloadRegion::builder("t")
-            .map_1d("a", MapDir::To, 1 << 60, 8, Full)
-            .map_1d("b", MapDir::Alloc, 1 << 60, 8, Full);
+        let b = OffloadRegion::builder("t").map_1d("a", MapDir::To, 1 << 60, 8, Full).map_1d(
+            "b",
+            MapDir::Alloc,
+            1 << 60,
+            8,
+            Full,
+        );
         assert_eq!(plan(b, 10), overflow("b"));
         let b = OffloadRegion::builder("t").map_1d("a", MapDir::From, 1 << 60, 8, Full);
         assert_eq!(plan(b.scalars(1 << 63), 10), overflow("a"));
         // The same sizes one bit smaller plan.
-        let b = OffloadRegion::builder("t")
-            .map_1d("a", MapDir::To, 1 << 59, 8, Full)
-            .map_1d("b", MapDir::Alloc, 1 << 59, 8, Full);
+        let b = OffloadRegion::builder("t").map_1d("a", MapDir::To, 1 << 59, 8, Full).map_1d(
+            "b",
+            MapDir::Alloc,
+            1 << 59,
+            8,
+            Full,
+        );
         assert_eq!(plan(b, 10), Ok(()));
     }
 

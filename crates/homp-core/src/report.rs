@@ -190,12 +190,7 @@ impl RunReport {
     /// Build from an [`OffloadReport`] (which owns the trace and the
     /// decision log).
     pub fn from_offload(report: &OffloadReport) -> RunReport {
-        let n_devices = report
-            .devices
-            .iter()
-            .map(|&d| d as usize + 1)
-            .max()
-            .unwrap_or(0);
+        let n_devices = report.devices.iter().map(|&d| d as usize + 1).max().unwrap_or(0);
         let metrics = Metrics::from_trace(&report.trace, n_devices);
         RunReport {
             algorithm: report.algorithm.to_string(),

@@ -116,10 +116,8 @@ mod tests {
     use homp_lang::{DistPolicy, MapDir};
 
     fn region_with(halo: Option<u64>, align_ratio: Option<u64>) -> OffloadRegion {
-        let mut b = OffloadRegion::builder("k")
-            .trip_count(1000)
-            .devices(vec![0, 1])
-            .map_array(ArrayMap {
+        let mut b =
+            OffloadRegion::builder("k").trip_count(1000).devices(vec![0, 1]).map_array(ArrayMap {
                 name: "u".into(),
                 dir: MapDir::ToFrom,
                 dims: vec![1000, 10],

@@ -216,9 +216,7 @@ impl HealthTracker {
         let from = s.state;
         let quarantine = match kind {
             FaultKind::Dropout => true,
-            FaultKind::TransientDma | FaultKind::LaunchTimeout => {
-                from == HealthState::Probation
-            }
+            FaultKind::TransientDma | FaultKind::LaunchTimeout => from == HealthState::Probation,
             FaultKind::Slowdown => false,
         };
         if !quarantine || from == HealthState::Quarantined {
@@ -370,11 +368,7 @@ mod tests {
             h.observe_chunk(0, 0, 1000, 1.0, t(i as f64));
         }
         let s = &h.slots[0];
-        assert!(
-            s.peak < 1500.0,
-            "peak {} should have decayed to near the steady rate",
-            s.peak
-        );
+        assert!(s.peak < 1500.0, "peak {} should have decayed to near the steady rate", s.peak);
     }
 
     #[test]

@@ -130,10 +130,7 @@ impl Algorithm {
     /// fig5/fig9 experiments.
     pub fn extended_suite() -> Vec<Algorithm> {
         let mut suite = Algorithm::paper_suite();
-        suite.push(Algorithm::WorkAssist {
-            min_assist_pct: DEFAULT_ASSIST_PCT,
-            cutoff: None,
-        });
+        suite.push(Algorithm::WorkAssist { min_assist_pct: DEFAULT_ASSIST_PCT, cutoff: None });
         suite
     }
 
@@ -351,15 +348,14 @@ mod tests {
         let a = Algorithm::from_schedule_kind(&ScheduleKind::Dynamic { chunk_pct: None }, None)
             .unwrap();
         assert_eq!(a, Algorithm::Dynamic { chunk_pct: 2.0 });
-        let g = Algorithm::from_schedule_kind(&ScheduleKind::Guided { chunk_pct: None }, None)
-            .unwrap();
+        let g =
+            Algorithm::from_schedule_kind(&ScheduleKind::Guided { chunk_pct: None }, None).unwrap();
         assert_eq!(g, Algorithm::Guided { chunk_pct: 20.0 });
     }
 
     #[test]
     fn lowering_cutoff() {
-        let a =
-            Algorithm::from_schedule_kind(&ScheduleKind::Model2, Some(15)).unwrap();
+        let a = Algorithm::from_schedule_kind(&ScheduleKind::Model2, Some(15)).unwrap();
         assert_eq!(a.cutoff(), Some(0.15));
     }
 
@@ -385,10 +381,7 @@ mod tests {
     #[test]
     fn with_cutoff_is_noop_for_chunkers() {
         assert_eq!(Algorithm::Block.with_cutoff(0.15), Algorithm::Block);
-        assert_eq!(
-            Algorithm::Model1 { cutoff: None }.with_cutoff(0.15).cutoff(),
-            Some(0.15)
-        );
+        assert_eq!(Algorithm::Model1 { cutoff: None }.with_cutoff(0.15).cutoff(), Some(0.15));
     }
 
     #[test]
@@ -421,10 +414,7 @@ mod tests {
 
     #[test]
     fn keys_are_stable_and_unique() {
-        for suite in [
-            Algorithm::extended_suite(),
-            Algorithm::extended_suite_with_cutoff(0.15),
-        ] {
+        for suite in [Algorithm::extended_suite(), Algorithm::extended_suite_with_cutoff(0.15)] {
             let keys: Vec<String> = suite.iter().map(Algorithm::key).collect();
             for k in &keys {
                 assert!(
@@ -462,10 +452,7 @@ mod tests {
             Algorithm::ProfileConst { sample_pct: 10.0, cutoff: Some(0.15) }.to_string(),
             "SCHED_PROFILE_AUTO,10%,15%"
         );
-        assert_eq!(
-            Algorithm::Model1 { cutoff: Some(0.15) }.to_string(),
-            "MODEL_1_AUTO,-1,15%"
-        );
+        assert_eq!(Algorithm::Model1 { cutoff: Some(0.15) }.to_string(), "MODEL_1_AUTO,-1,15%");
         assert_eq!(
             Algorithm::WorkAssist { min_assist_pct: 5.0, cutoff: None }.to_string(),
             "WORK_ASSIST,5%"

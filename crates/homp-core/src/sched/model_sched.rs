@@ -79,11 +79,7 @@ pub fn model2_plan(
 /// Stage-2 of the profiling algorithms: distribute `remaining`
 /// iterations proportionally to *measured* per-device throughput
 /// (iterations per second), with optional CUTOFF.
-pub fn throughput_plan(
-    throughputs: &[f64],
-    remaining: u64,
-    cutoff: Option<f64>,
-) -> ModelPlan {
+pub fn throughput_plan(throughputs: &[f64], remaining: u64, cutoff: Option<f64>) -> ModelPlan {
     plan_with(
         |idx| {
             let total: f64 = idx.iter().map(|&i| throughputs[i].max(0.0)).sum();

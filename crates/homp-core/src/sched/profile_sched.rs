@@ -13,7 +13,7 @@
 //! Stage 2 is [`crate::sched::model_sched::throughput_plan`] over the
 //! measured rates.
 
-use homp_model::{model2_shares, largest_remainder, DeviceParams, KernelIntensity};
+use homp_model::{largest_remainder, model2_shares, DeviceParams, KernelIntensity};
 
 /// Stage-1 sample sizes for `SCHED_PROFILE_AUTO`: the sample budget
 /// (`sample_pct` of the trip count) split equally.

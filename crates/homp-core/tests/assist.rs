@@ -14,11 +14,7 @@ fn region(n: u64, machine: &Machine, alg: Algorithm) -> OffloadRegion {
     region_builder(n, machine, alg).build()
 }
 
-fn region_builder(
-    n: u64,
-    machine: &Machine,
-    alg: Algorithm,
-) -> homp_core::OffloadRegionBuilder {
+fn region_builder(n: u64, machine: &Machine, alg: Algorithm) -> homp_core::OffloadRegionBuilder {
     let devices: Vec<DeviceId> = (0..machine.devices.len() as DeviceId).collect();
     OffloadRegion::builder("axpy")
         .trip_count(n)
@@ -210,8 +206,7 @@ fn stragglers_get_assisted_on_irregular_loops() {
     k.assert_exactly_once("irregular work-assist");
     assert_decisions_partition(&assisted, n, "irregular work-assist");
 
-    let assists: Vec<_> =
-        assisted.decisions.iter().filter(|d| d.stage == "assist").collect();
+    let assists: Vec<_> = assisted.decisions.iter().filter(|d| d.stage == "assist").collect();
     assert!(!assists.is_empty(), "the ramp must provoke at least one steal");
     for a in &assists {
         let donor = a.donor.expect("assist decisions must name their donor");
@@ -311,11 +306,8 @@ fn dropped_device_tail_is_adopted_by_assisting_peers_exactly_once() {
 
     // The handoff is visible: assist decisions executed by survivors,
     // donated by the dead device.
-    let adoptions: Vec<_> = report
-        .decisions
-        .iter()
-        .filter(|d| d.stage == "assist" && d.requeued)
-        .collect();
+    let adoptions: Vec<_> =
+        report.decisions.iter().filter(|d| d.stage == "assist" && d.requeued).collect();
     assert!(!adoptions.is_empty(), "the orphaned tail must be adopted, not serially requeued");
     for a in &adoptions {
         assert_eq!(a.donor, Some(2), "adoptions name the dead device as donor");

@@ -28,7 +28,12 @@ struct ArraySpec {
 fn arb_array() -> impl Strategy<Value = ArraySpec> {
     (
         prop_oneof![Just(Kind::Replicated), Just(Kind::Aligned), Just(Kind::IndependentBlock)],
-        prop_oneof![Just(MapDir::To), Just(MapDir::From), Just(MapDir::ToFrom), Just(MapDir::Alloc)],
+        prop_oneof![
+            Just(MapDir::To),
+            Just(MapDir::From),
+            Just(MapDir::ToFrom),
+            Just(MapDir::Alloc)
+        ],
         1u64..16,
     )
         .prop_map(|(kind, dir, cols)| ArraySpec { kind, dir, cols })

@@ -30,7 +30,8 @@ fn check(mut rt: Runtime, machine: &Machine, n: u64, alg: Algorithm, label: &str
     rt.set_decision_log(true);
     let mut k = CoverageKernel::new(n);
     let report = rt
-        .offload(&region(n, machine, alg), &mut k).run()
+        .offload(&region(n, machine, alg), &mut k)
+        .run()
         .unwrap_or_else(|e| panic!("{label}: offload failed: {e:?}"));
     k.assert_exactly_once(label);
     assert_decisions_partition(&report, n, label);

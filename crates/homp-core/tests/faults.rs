@@ -75,10 +75,8 @@ fn mid_region_dropout_executes_every_iteration_exactly_once_per_algorithm() {
 
         // Recovery is visible in the trace: the dropout left a FAULT
         // event on device 2 and the survivors paid FAILOVER bookkeeping.
-        let faults =
-            report.trace.events().iter().filter(|e| e.kind == OpKind::Fault).count();
-        let failovers =
-            report.trace.events().iter().filter(|e| e.kind == OpKind::Failover).count();
+        let faults = report.trace.events().iter().filter(|e| e.kind == OpKind::Fault).count();
+        let failovers = report.trace.events().iter().filter(|e| e.kind == OpKind::Failover).count();
         assert!(faults >= 1, "{alg}: dropout must be traced");
         assert!(failovers >= 1, "{alg}: survivors must pay failover overhead");
         assert!(
@@ -112,12 +110,8 @@ fn transient_retries_follow_the_exponential_backoff() {
 
     // One BACKOFF event per retry, doubling from 100 µs and all on the
     // flaky device.
-    let mut backoffs: Vec<_> = report
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::Backoff)
-        .collect();
+    let mut backoffs: Vec<_> =
+        report.trace.events().iter().filter(|e| e.kind == OpKind::Backoff).collect();
     backoffs.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
     assert_eq!(backoffs.len(), max_retries);
     for (i, ev) in backoffs.iter().enumerate() {
@@ -128,12 +122,8 @@ fn transient_retries_follow_the_exponential_backoff() {
     }
     // Each failed attempt (first try + retries) is traced as a FAULT on
     // the DMA engine.
-    let dma_faults = report
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::Fault && e.device == 1)
-        .count();
+    let dma_faults =
+        report.trace.events().iter().filter(|e| e.kind == OpKind::Fault && e.device == 1).count();
     assert_eq!(dma_faults, max_retries + 1);
 }
 
@@ -163,8 +153,7 @@ fn identical_seeds_give_byte_identical_fault_traces() {
                 .with_dropout_at(2, 0.3e-3)
                 .with_transient_dma(0, 0.05)
                 .with_launch_timeouts(1, 0.02);
-            let rt =
-                Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan));
+            let rt = Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan));
             let (res, hits) = run_counted(rt, n, alg);
             (res.unwrap(), hits)
         };
@@ -204,11 +193,8 @@ fn all_devices_failing_falls_back_to_the_host() {
 fn chunked_dropout_requeues_only_the_orphaned_chunk() {
     let n = 100_000u64;
     let alg = Algorithm::Dynamic { chunk_pct: 2.0 };
-    let healthy = run_counted(Runtime::new(Machine::four_k40(), 42), n, alg)
-        .0
-        .unwrap()
-        .makespan
-        .as_secs();
+    let healthy =
+        run_counted(Runtime::new(Machine::four_k40(), 42), n, alg).0.unwrap().makespan.as_secs();
     let plan = FaultPlan::new(2).with_dropout_at(1, healthy * 0.4);
     let rt = Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan));
     let (res, hits) = run_counted(rt, n, alg);

@@ -53,9 +53,8 @@ fn recovered_device_is_reintegrated_through_probation() {
     // Device 2 drops a quarter of the way in and comes back before the
     // halfway mark; the probe schedule should find it while the chunk
     // queue still holds well over the work-assist steal minimum.
-    let plan = FaultPlan::new(7)
-        .with_dropout_at(2, healthy * 0.25)
-        .with_recovery_at(2, healthy * 0.45);
+    let plan =
+        FaultPlan::new(7).with_dropout_at(2, healthy * 0.25).with_recovery_at(2, healthy * 0.45);
     let rt = Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan));
     let (report, k) = run_heavy(rt, n, alg);
 
@@ -69,7 +68,9 @@ fn recovered_device_is_reintegrated_through_probation() {
     let probation_idx = report
         .decisions
         .iter()
-        .position(|d| d.stage == "health" && d.device == 2 && d.note == Some("quarantined->probation"))
+        .position(|d| {
+            d.stage == "health" && d.device == 2 && d.note == Some("quarantined->probation")
+        })
         .expect("decision log must record device 2 entering probation");
     let chunks_after = report.decisions[probation_idx..]
         .iter()

@@ -58,7 +58,12 @@ fn golden() -> Vec<(Algorithm, f64, u64, Vec<u64>)> {
             18,
             vec![2757, 2796, 2279, 2168],
         ),
-        (Algorithm::Model1 { cutoff: None }, 3.73800945033277144e-5, 4, vec![2500, 2500, 2500, 2500]),
+        (
+            Algorithm::Model1 { cutoff: None },
+            3.73800945033277144e-5,
+            4,
+            vec![2500, 2500, 2500, 2500],
+        ),
         (
             Algorithm::ProfileConst { sample_pct: 10.0, cutoff: None },
             6.74080949802270685e-5,
@@ -174,13 +179,14 @@ fn a_probation_does_not_outlive_reset_with_seed() {
 fn inactive_device_plans_do_not_perturb_other_devices() {
     // A plan that names a device but can never fire (zero rates, no
     // dropout) still counts as "none" and must change nothing.
-    let plan = homp_sim::FaultPlan::new(99)
-        .with_transient_dma(2, 0.0)
-        .with_launch_timeouts(2, 0.0);
+    let plan = homp_sim::FaultPlan::new(99).with_transient_dma(2, 0.0).with_launch_timeouts(2, 0.0);
     assert!(plan.is_none());
     let alg = Algorithm::Guided { chunk_pct: 20.0 };
     let plain = run(Runtime::new(Machine::four_k40(), 42), 10_000, alg);
-    let noop =
-        run(Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan)), 10_000, alg);
+    let noop = run(
+        Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan)),
+        10_000,
+        alg,
+    );
     assert_eq!(plain.trace.to_csv(), noop.trace.to_csv());
 }

@@ -131,7 +131,12 @@ fn model_algorithms_carry_predictions() {
 
 #[test]
 fn run_report_renders_and_agrees_with_offload_report() {
-    let rep = run(Runtime::new(Machine::four_k40(), 42), 10_000, Algorithm::Model2 { cutoff: None }, true);
+    let rep = run(
+        Runtime::new(Machine::four_k40(), 42),
+        10_000,
+        Algorithm::Model2 { cutoff: None },
+        true,
+    );
     let rr = rep.run_report();
     assert_eq!(rr.makespan_ms, rep.makespan.as_millis());
     assert_eq!(rr.imbalance_pct, rep.imbalance_pct);

@@ -8,8 +8,8 @@ mod common;
 
 use common::assert_decisions_partition;
 use homp_core::{
-    Algorithm, ChunkingPolicy, FaultConfig, FnKernel, FnPipelineKernel, OffloadRegion,
-    Pipeline, PipelineKernel, Range, Runtime,
+    Algorithm, ChunkingPolicy, FaultConfig, FnKernel, FnPipelineKernel, OffloadRegion, Pipeline,
+    PipelineKernel, Range, Runtime,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;

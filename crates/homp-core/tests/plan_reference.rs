@@ -634,11 +634,7 @@ fn loop_alignment_and_ratio_chains() {
             ],
         ),
         // The second dimension is the distributed one.
-        region(
-            t,
-            None,
-            vec![array("a", ToFrom, &[3, t], &[DistPolicy::Full, aligned("loop", 1)])],
-        ),
+        region(t, None, vec![array("a", ToFrom, &[3, t], &[DistPolicy::Full, aligned("loop", 1)])]),
         // Empty loop, empty arrays, zero-byte elements.
         region(0, None, vec![array("x", To, &[0], &[aligned("loop", 1)])]),
         region(
@@ -685,21 +681,15 @@ fn malformed_regions_fail_alike() {
             region(t, None, vec![array("loop", To, &[t], &[DistPolicy::Full])]),
             |e| matches!(e, PlanError::Align(homp_core::align::AlignError::Duplicate(_))),
         ),
-        (
-            "unknown array target",
-            region(t, None, vec![x(aligned("ghost", 1))]),
-            |e| matches!(e, PlanError::Align(homp_core::align::AlignError::UnknownTarget { .. })),
-        ),
-        (
-            "unknown loop target",
-            region(t, Some(("ghost", 1)), vec![x(DistPolicy::Block)]),
-            |e| matches!(e, PlanError::Align(homp_core::align::AlignError::UnknownTarget { .. })),
-        ),
-        (
-            "2-cycle",
-            region(t, None, vec![x(aligned("y", 1)), y(aligned("x", 1))]),
-            |e| matches!(e, PlanError::Align(homp_core::align::AlignError::Cycle(_))),
-        ),
+        ("unknown array target", region(t, None, vec![x(aligned("ghost", 1))]), |e| {
+            matches!(e, PlanError::Align(homp_core::align::AlignError::UnknownTarget { .. }))
+        }),
+        ("unknown loop target", region(t, Some(("ghost", 1)), vec![x(DistPolicy::Block)]), |e| {
+            matches!(e, PlanError::Align(homp_core::align::AlignError::UnknownTarget { .. }))
+        }),
+        ("2-cycle", region(t, None, vec![x(aligned("y", 1)), y(aligned("x", 1))]), |e| {
+            matches!(e, PlanError::Align(homp_core::align::AlignError::Cycle(_)))
+        }),
         (
             "3-cycle",
             region(t, None, vec![x(aligned("y", 1)), y(aligned("z", 2)), z(aligned("x", 1))]),
@@ -710,16 +700,12 @@ fn malformed_regions_fail_alike() {
             region(t, None, vec![z(aligned("x", 1)), x(aligned("y", 1)), y(aligned("x", 1))]),
             |e| matches!(e, PlanError::Align(homp_core::align::AlignError::Cycle(_))),
         ),
-        (
-            "cycle through the loop",
-            region(t, Some(("x", 1)), vec![x(aligned("loop", 1))]),
-            |e| matches!(e, PlanError::Align(homp_core::align::AlignError::Cycle(_))),
-        ),
-        (
-            "self-alignment",
-            region(t, None, vec![x(aligned("x", 1))]),
-            |e| matches!(e, PlanError::Align(homp_core::align::AlignError::Cycle(_))),
-        ),
+        ("cycle through the loop", region(t, Some(("x", 1)), vec![x(aligned("loop", 1))]), |e| {
+            matches!(e, PlanError::Align(homp_core::align::AlignError::Cycle(_)))
+        }),
+        ("self-alignment", region(t, None, vec![x(aligned("x", 1))]), |e| {
+            matches!(e, PlanError::Align(homp_core::align::AlignError::Cycle(_)))
+        }),
         (
             "loop aligned with itself",
             region(t, Some(("loop", 1)), vec![x(DistPolicy::Full)]),

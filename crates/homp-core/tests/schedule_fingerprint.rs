@@ -28,8 +28,8 @@
 
 use homp_core::testing::{assert_decisions_partition, CoverageKernel};
 use homp_core::{
-    Algorithm, ChunkingPolicy, FaultConfig, FaultSummary, OffloadRegion, OffloadReport,
-    Pipeline, PipelineKernel, Range, Runtime,
+    Algorithm, ChunkingPolicy, FaultConfig, FaultSummary, OffloadRegion, OffloadReport, Pipeline,
+    PipelineKernel, Range, Runtime,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;

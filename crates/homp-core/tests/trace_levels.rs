@@ -65,14 +65,8 @@ fn level_off_changes_nothing_but_the_trace() {
             // level, so only the trace itself is given up.
             assert_eq!(off.imbalance_pct, full.imbalance_pct, "{ctx}: imbalance drifted");
             assert_eq!(ko.hits, kf.hits, "{ctx}: kernel coverage drifted");
-            assert!(
-                off.trace.events().is_empty(),
-                "{ctx}: OFF must record no events"
-            );
-            assert!(
-                !full.trace.events().is_empty(),
-                "{ctx}: FULL must record events"
-            );
+            assert!(off.trace.events().is_empty(), "{ctx}: OFF must record no events");
+            assert!(!full.trace.events().is_empty(), "{ctx}: FULL must record events");
         }
     }
 }

@@ -34,16 +34,14 @@ fn kernel_events(rt_trace: &homp_sim::Trace) -> usize {
 
 #[test]
 fn static_plans_have_one_kernel_event_per_device() {
-    for alg in [Algorithm::Block, Algorithm::Model1 { cutoff: None }, Algorithm::Model2 { cutoff: None }] {
+    for alg in
+        [Algorithm::Block, Algorithm::Model1 { cutoff: None }, Algorithm::Model2 { cutoff: None }]
+    {
         let mut rt = Runtime::new(Machine::four_k40(), 1);
         let mut k = FnKernel::new(intensity(), |_r: Range| {});
         let rep = rt.offload(&region(100_000, alg), &mut k).run().unwrap();
         let active = rep.counts.iter().filter(|&&c| c > 0).count();
-        assert_eq!(
-            kernel_events(&rep.trace),
-            active,
-            "{alg}: one kernel launch per active device"
-        );
+        assert_eq!(kernel_events(&rep.trace), active, "{alg}: one kernel launch per active device");
     }
 }
 
@@ -63,7 +61,11 @@ fn profiled_plans_have_at_most_two_kernel_waves_per_device() {
     let mut rt = Runtime::new(Machine::four_k40(), 3);
     let mut k = FnKernel::new(intensity(), |_r: Range| {});
     let rep = rt
-        .offload(&region(100_000, Algorithm::ProfileConst { sample_pct: 10.0, cutoff: None }), &mut k).run()
+        .offload(
+            &region(100_000, Algorithm::ProfileConst { sample_pct: 10.0, cutoff: None }),
+            &mut k,
+        )
+        .run()
         .unwrap();
     for dev in 0..4u32 {
         let per_dev = rep
@@ -85,20 +87,10 @@ fn trace_bytes_reconcile_with_data_plan() {
     let mut k = FnKernel::new(intensity(), |_r: Range| {});
     let rep = rt.offload(&reg, &mut k).run().unwrap();
 
-    let h2d_traced: u64 = rep
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::H2D)
-        .map(|e| e.amount)
-        .sum();
-    let d2h_traced: u64 = rep
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::D2H)
-        .map(|e| e.amount)
-        .sum();
+    let h2d_traced: u64 =
+        rep.trace.events().iter().filter(|e| e.kind == OpKind::H2D).map(|e| e.amount).sum();
+    let d2h_traced: u64 =
+        rep.trace.events().iter().filter(|e| e.kind == OpKind::D2H).map(|e| e.amount).sum();
     let h2d_planned: u64 = (0..4).map(|s| plan.h2d_bytes(s, rep.counts[s])).sum();
     let d2h_planned: u64 = (0..4).map(|s| plan.d2h_bytes(s, rep.counts[s])).sum();
     assert_eq!(h2d_traced, h2d_planned, "every planned inbound byte is traced");
@@ -119,10 +111,7 @@ fn kernel_event_iterations_match_counts() {
                 .filter(|e| e.kind == OpKind::Kernel && e.device == dev)
                 .map(|e| e.amount)
                 .sum();
-            assert_eq!(
-                traced, rep.counts[dev as usize],
-                "{alg}: device {dev} traced iterations"
-            );
+            assert_eq!(traced, rep.counts[dev as usize], "{alg}: device {dev} traced iterations");
         }
     }
 }
@@ -141,11 +130,7 @@ fn host_devices_never_appear_in_transfer_events() {
     let rep = rt.offload(&reg, &mut k).run().unwrap();
     for e in rep.trace.events() {
         if matches!(e.kind, OpKind::H2D | OpKind::D2H) {
-            assert!(
-                e.device >= 2,
-                "CPU socket {} must not transfer (shared memory)",
-                e.device
-            );
+            assert!(e.device >= 2, "CPU socket {} must not transfer (shared memory)", e.device);
         }
     }
 }

@@ -31,7 +31,7 @@ pub fn intensity(n: u64) -> KernelIntensity {
     let window = (2.0 * SEARCH as f64 + 1.0).powi(2);
     let flops_per_block = window * (BLOCK * BLOCK) as f64 * 2.0;
     let mem_per_block = window * (BLOCK * BLOCK) as f64; // reference loads
-    // Bus traffic per block row: B rows of both frames + the vectors.
+                                                         // Bus traffic per block row: B rows of both frames + the vectors.
     let data_per_row = 2.0 * (BLOCK as f64 * n as f64) + 2.0 * blocks_per_row;
     KernelIntensity {
         flops_per_iter: flops_per_block * blocks_per_row,
@@ -101,8 +101,7 @@ impl BlockMatching {
     /// away from edges.
     pub fn new(n: usize) -> Self {
         assert!(n.is_multiple_of(BLOCK), "frame size must be a multiple of {BLOCK}");
-        let frame: Vec<f64> =
-            (0..n * n).map(|i| (((i * 7919) % 101) as f64) * 0.01).collect();
+        let frame: Vec<f64> = (0..n * n).map(|i| (((i * 7919) % 101) as f64) * 0.01).collect();
         let mut reference_frame = vec![0.0; n * n];
         for i in 0..n {
             for j in 0..n {
@@ -135,8 +134,7 @@ impl BlockMatching {
         for r in 0..BLOCK as i64 {
             for c in 0..BLOCK as i64 {
                 let cur = self.frame[((base_i + r) * n + base_j + c) as usize];
-                let refv =
-                    self.reference_frame[((base_i + dy + r) * n + base_j + dx + c) as usize];
+                let refv = self.reference_frame[((base_i + dy + r) * n + base_j + dx + c) as usize];
                 acc += (cur - refv).abs();
             }
         }

@@ -26,7 +26,14 @@ pub struct CharacteristicsRow {
 }
 
 /// Compute all rows of Table IV at the given sizes.
-pub fn table_iv(n_axpy: u64, n_mv: u64, n_mm: u64, n_st: u64, n_sum: u64, n_bm: u64) -> Vec<CharacteristicsRow> {
+pub fn table_iv(
+    n_axpy: u64,
+    n_mv: u64,
+    n_mm: u64,
+    n_st: u64,
+    n_sum: u64,
+    n_bm: u64,
+) -> Vec<CharacteristicsRow> {
     let rows: Vec<(&'static str, String, KernelIntensity)> = vec![
         ("AXPY", format!("N={n_axpy}"), axpy::intensity()),
         ("Matrix Vector", format!("{n_mv}x{n_mv}"), matvec::intensity(n_mv)),

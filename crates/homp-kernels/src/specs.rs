@@ -132,8 +132,7 @@ mod tests {
 
     #[test]
     fn labels_match_table_v() {
-        let labels: Vec<String> =
-            KernelSpec::paper_suite().iter().map(|s| s.label()).collect();
+        let labels: Vec<String> = KernelSpec::paper_suite().iter().map(|s| s.label()).collect();
         assert_eq!(
             labels,
             vec!["axpy-10M", "matvec-48k", "matmul-6144", "stencil2d-256", "sum-300M", "bm2d-256"]

@@ -108,17 +108,15 @@ impl Stencil2d {
             return;
         }
         for j in 0..n {
-            self.u_next[i * n + j] = if j < RADIUS || j >= n - RADIUS {
-                self.u[i * n + j]
-            } else {
-                self.point(i, j)
-            };
+            self.u_next[i * n + j] =
+                if j < RADIUS || j >= n - RADIUS { self.u[i * n + j] } else { self.point(i, j) };
         }
     }
 
     /// Sequential reference sweep.
     pub fn reference(&self) -> Vec<f64> {
-        let mut copy = Stencil2d { n: self.n, u: self.u.clone(), u_next: vec![0.0; self.n * self.n] };
+        let mut copy =
+            Stencil2d { n: self.n, u: self.u.clone(), u_next: vec![0.0; self.n * self.n] };
         for i in 0..self.n {
             copy.row(i);
         }

@@ -890,7 +890,11 @@ mod tests {
         let d = DeviceSpecifier {
             entries: vec![
                 DeviceEntry::Range { start: 0, count: Count::N(2), filter: None },
-                DeviceEntry::Range { start: 4, count: Count::All, filter: Some("HOMP_DEVICE_NVGPU".into()) },
+                DeviceEntry::Range {
+                    start: 4,
+                    count: Count::All,
+                    filter: Some("HOMP_DEVICE_NVGPU".into()),
+                },
             ],
         };
         assert_eq!(d.to_string(), "device(0:2, 4:*:HOMP_DEVICE_NVGPU)");

@@ -44,10 +44,9 @@ impl std::fmt::Display for ResolveError {
             ResolveError::OutOfRange { requested, available } => {
                 write!(f, "device {requested} out of range (machine has {available})")
             }
-            ResolveError::CountOverrun { start, count, available } => write!(
-                f,
-                "device range {start}:{count} overruns the machine ({available} devices)"
-            ),
+            ResolveError::CountOverrun { start, count, available } => {
+                write!(f, "device range {start}:{count} overruns the machine ({available} devices)")
+            }
             ResolveError::Empty => write!(f, "device specifier selects no devices"),
             ResolveError::BadVariable { name } => {
                 write!(f, "device variable `{name}` is unbound or negative")
@@ -197,27 +196,18 @@ mod tests {
 
     #[test]
     fn zero_colon_star_selects_everything() {
-        assert_eq!(
-            resolve_devices(&spec("device(0:*)"), FULL).unwrap(),
-            vec![0, 1, 2, 3, 4, 5, 6]
-        );
+        assert_eq!(resolve_devices(&spec("device(0:*)"), FULL).unwrap(), vec![0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn explicit_list() {
-        assert_eq!(
-            resolve_devices(&spec("device(0, 2, 3, 5)"), FULL).unwrap(),
-            vec![0, 2, 3, 5]
-        );
+        assert_eq!(resolve_devices(&spec("device(0, 2, 3, 5)"), FULL).unwrap(), vec![0, 2, 3, 5]);
     }
 
     #[test]
     fn paper_example_ranges() {
         // device(0:2, 4:2) → 0,1,4,5 per the paper.
-        assert_eq!(
-            resolve_devices(&spec("device(0:2, 4:2)"), FULL).unwrap(),
-            vec![0, 1, 4, 5]
-        );
+        assert_eq!(resolve_devices(&spec("device(0:2, 4:2)"), FULL).unwrap(), vec![0, 1, 4, 5]);
     }
 
     #[test]
@@ -236,10 +226,7 @@ mod tests {
     #[test]
     fn counted_filter_skips_non_matching() {
         // Two GPUs starting from device 0: devices 1 and 2.
-        assert_eq!(
-            resolve_devices(&spec("device(0:2:gpu)"), FULL).unwrap(),
-            vec![1, 2]
-        );
+        assert_eq!(resolve_devices(&spec("device(0:2:gpu)"), FULL).unwrap(), vec![1, 2]);
     }
 
     #[test]
@@ -266,9 +253,6 @@ mod tests {
     #[test]
     fn empty_selection_is_error() {
         let hosts_only: &[&str] = &["HOMP_DEVICE_HOSTCPU"];
-        assert_eq!(
-            resolve_devices(&spec("device(0:*:gpu)"), hosts_only),
-            Err(ResolveError::Empty)
-        );
+        assert_eq!(resolve_devices(&spec("device(0:*:gpu)"), hosts_only), Err(ResolveError::Empty));
     }
 }

@@ -27,10 +27,9 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{
-    ArraySection, BinOp, Clause, ConstructKeyword, Count, DependKind, DeviceEntry,
-    DeviceSpecifier, Directive, DistPolicy, DistSchedule, Env, EvalError, Expr, HaloSpec,
-    MapClause, MapDir, MapItem, PartitionSpec, ReductionOp, ScheduleKind, ScheduleLevel,
-    SectionDim,
+    ArraySection, BinOp, Clause, ConstructKeyword, Count, DependKind, DeviceEntry, DeviceSpecifier,
+    Directive, DistPolicy, DistSchedule, Env, EvalError, Expr, HaloSpec, MapClause, MapDir,
+    MapItem, PartitionSpec, ReductionOp, ScheduleKind, ScheduleLevel, SectionDim,
 };
 pub use device_spec::{resolve_devices, resolve_devices_with_env, ResolveError};
 pub use parser::{parse_algorithm_notation, parse_directive, ParseError};

@@ -30,8 +30,7 @@ impl std::error::Error for ParseError {}
 /// line-continuation backslashes allowed).
 pub fn parse_directive(src: &str) -> Result<Directive, ParseError> {
     let text = strip_pragma(src);
-    let tokens = lex(&text)
-        .map_err(|e| ParseError { offset: e.offset, message: e.message })?;
+    let tokens = lex(&text).map_err(|e| ParseError { offset: e.offset, message: e.message })?;
     Parser { tokens, pos: 0 }.directive()
 }
 
@@ -40,8 +39,7 @@ pub fn parse_directive(src: &str) -> Result<Directive, ParseError> {
 /// `"SCHED_PROFILE_AUTO,10%,15%"`. Returns the schedule kind and the
 /// optional CUTOFF percentage.
 pub fn parse_algorithm_notation(src: &str) -> Result<(ScheduleKind, Option<u64>), ParseError> {
-    let tokens =
-        lex(src).map_err(|e| ParseError { offset: e.offset, message: e.message })?;
+    let tokens = lex(src).map_err(|e| ParseError { offset: e.offset, message: e.message })?;
     let mut p = Parser { tokens, pos: 0 };
     let name = p.expect_ident()?;
     let mut first: Option<Option<u64>> = None; // Some(None) = explicit -1
@@ -67,10 +65,7 @@ pub fn parse_algorithm_notation(src: &str) -> Result<(ScheduleKind, Option<u64>)
         "MODEL_PROFILE_AUTO" => ScheduleKind::ModelProfile { sample_pct: chunk },
         "WORK_ASSIST" => ScheduleKind::WorkAssist { min_pct: chunk },
         other => {
-            return Err(ParseError {
-                offset: 0,
-                message: format!("unknown algorithm `{other}`"),
-            })
+            return Err(ParseError { offset: 0, message: format!("unknown algorithm `{other}`") })
         }
     };
     Ok((kind, second))
@@ -302,9 +297,7 @@ impl<'a> Parser<'a> {
                     filter = Some(self.expect_name()?);
                     return Ok(DeviceEntry::Range { start, count, filter });
                 }
-                other => {
-                    return Err(self.err(format!("expected count or filter, found {other}")))
-                }
+                other => return Err(self.err(format!("expected count or filter, found {other}"))),
             }
             if self.eat(&TokenKind::Colon) {
                 filter = Some(self.expect_name()?);
@@ -497,7 +490,10 @@ impl<'a> Parser<'a> {
     fn schedule_kind(&mut self, in_brackets: bool) -> Result<ScheduleKind, ParseError> {
         let name = self.expect_ident()?;
         let trailing_pct = |p: &mut Self| -> Result<Option<u64>, ParseError> {
-            if in_brackets && p.peek() == TokenKind::Comma && matches!(p.peek2(), TokenKind::Percent(_) | TokenKind::Int(_)) {
+            if in_brackets
+                && p.peek() == TokenKind::Comma
+                && matches!(p.peek2(), TokenKind::Percent(_) | TokenKind::Int(_))
+            {
                 p.bump();
                 Ok(Some(p.expect_pct()?))
             } else {
@@ -528,9 +524,7 @@ impl<'a> Parser<'a> {
             "MODEL_PROFILE_AUTO" => {
                 Ok(ScheduleKind::ModelProfile { sample_pct: trailing_pct(self)? })
             }
-            "WORK_ASSIST" => {
-                Ok(ScheduleKind::WorkAssist { min_pct: trailing_pct(self)? })
-            }
+            "WORK_ASSIST" => Ok(ScheduleKind::WorkAssist { min_pct: trailing_pct(self)? }),
             other => Err(self.err(format!("unknown schedule kind `{other}`"))),
         }
     }
@@ -681,10 +675,7 @@ mod tests {
             MapItem::Array { section, partition, halo } => {
                 assert_eq!(section.name, "x");
                 assert_eq!(section.dims.len(), 1);
-                assert_eq!(
-                    partition.as_ref().unwrap().dims,
-                    vec![(DistPolicy::Block, true)]
-                );
+                assert_eq!(partition.as_ref().unwrap().dims, vec![(DistPolicy::Block, true)]);
                 assert!(halo.is_none());
             }
             other => panic!("expected array, got {other:?}"),
@@ -728,10 +719,9 @@ mod tests {
 
     #[test]
     fn parses_dist_schedule_align() {
-        let d = parse_directive(
-            "#pragma omp parallel for distribute dist_schedule(target:[ALIGN(x)])",
-        )
-        .unwrap();
+        let d =
+            parse_directive("#pragma omp parallel for distribute dist_schedule(target:[ALIGN(x)])")
+                .unwrap();
         let s = d.dist_schedule().unwrap();
         assert_eq!(s.level, ScheduleLevel::Target);
         assert_eq!(s.kind, ScheduleKind::Align { target: "x".into(), ratio: 1 });
@@ -754,10 +744,7 @@ mod tests {
             "parallel for target distribute dist_schedule(target:[SCHED_DYNAMIC,2%])",
         )
         .unwrap();
-        assert_eq!(
-            d.dist_schedule().unwrap().kind,
-            ScheduleKind::Dynamic { chunk_pct: Some(2) }
-        );
+        assert_eq!(d.dist_schedule().unwrap().kind, ScheduleKind::Dynamic { chunk_pct: Some(2) });
     }
 
     #[test]
@@ -793,8 +780,7 @@ mod tests {
 
     #[test]
     fn parses_target_update() {
-        let d = parse_directive("#pragma omp target update to(u[0:n][0:m], f) from(uold)")
-            .unwrap();
+        let d = parse_directive("#pragma omp target update to(u[0:n][0:m], f) from(uold)").unwrap();
         assert!(d.is_target_update());
         let to: Vec<_> = d.update_to().collect();
         assert_eq!(to.len(), 2);
@@ -915,11 +901,7 @@ mod tests {
                 Some(15),
             ),
             ("WORK_ASSIST", ScheduleKind::WorkAssist { min_pct: None }, None),
-            (
-                "WORK_ASSIST,5%,15%",
-                ScheduleKind::WorkAssist { min_pct: Some(5) },
-                Some(15),
-            ),
+            ("WORK_ASSIST,5%,15%", ScheduleKind::WorkAssist { min_pct: Some(5) }, Some(15)),
         ];
         for (src, kind, cutoff) in cases {
             let (k, c) = parse_algorithm_notation(src).unwrap();

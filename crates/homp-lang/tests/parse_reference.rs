@@ -279,8 +279,7 @@ mod reference {
     /// line-continuation backslashes allowed).
     pub fn parse_directive(src: &str) -> Result<Directive, ParseError> {
         let text = strip_pragma(src);
-        let tokens = lex(&text)
-            .map_err(|e| ParseError { offset: e.offset, message: e.message })?;
+        let tokens = lex(&text).map_err(|e| ParseError { offset: e.offset, message: e.message })?;
         Parser { tokens, pos: 0 }.directive()
     }
 
@@ -289,8 +288,7 @@ mod reference {
     /// `"SCHED_PROFILE_AUTO,10%,15%"`. Returns the schedule kind and the
     /// optional CUTOFF percentage.
     pub fn parse_algorithm_notation(src: &str) -> Result<(ScheduleKind, Option<u64>), ParseError> {
-        let tokens =
-            lex(src).map_err(|e| ParseError { offset: e.offset, message: e.message })?;
+        let tokens = lex(src).map_err(|e| ParseError { offset: e.offset, message: e.message })?;
         let mut p = Parser { tokens, pos: 0 };
         let name = p.expect_ident()?;
         let mut first: Option<Option<u64>> = None; // Some(None) = explicit -1
@@ -741,7 +739,10 @@ mod reference {
         fn schedule_kind(&mut self, in_brackets: bool) -> Result<ScheduleKind, ParseError> {
             let name = self.expect_ident()?;
             let trailing_pct = |p: &mut Self| -> Result<Option<u64>, ParseError> {
-                if in_brackets && *p.peek() == TokenKind::Comma && matches!(p.peek2(), TokenKind::Percent(_) | TokenKind::Int(_)) {
+                if in_brackets
+                    && *p.peek() == TokenKind::Comma
+                    && matches!(p.peek2(), TokenKind::Percent(_) | TokenKind::Int(_))
+                {
                     p.bump();
                     Ok(Some(p.expect_pct()?))
                 } else {
@@ -772,9 +773,7 @@ mod reference {
                 "MODEL_PROFILE_AUTO" => {
                     Ok(ScheduleKind::ModelProfile { sample_pct: trailing_pct(self)? })
                 }
-                "WORK_ASSIST" => {
-                    Ok(ScheduleKind::WorkAssist { min_pct: trailing_pct(self)? })
-                }
+                "WORK_ASSIST" => Ok(ScheduleKind::WorkAssist { min_pct: trailing_pct(self)? }),
                 other => Err(self.err(format!("unknown schedule kind `{other}`"))),
             }
         }

@@ -103,22 +103,22 @@ fn directive_corpus() {
     }
 
     let invalid = [
-        "",                                                  // no construct
-        "#pragma omp",                                       // no construct
-        "map(to: x)",                                        // clause without construct
-        "parallel frobnicate(1)",                            // unknown clause
-        "target device()",                                   // empty device list
-        "target device(0:)",                                 // dangling colon
-        "target map(to:)",                                   // empty item list
-        "target map(sideways: x)",                           // bad direction
-        "target map(to: x[0:n)",                             // unbalanced
-        "parallel for collapse(0)",                          // zero collapse
-        "parallel for collapse(two)",                        // non-integer
-        "parallel for distribute dist_schedule(target:[WIBBLE])", // unknown kind
+        "",                                                        // no construct
+        "#pragma omp",                                             // no construct
+        "map(to: x)",                                              // clause without construct
+        "parallel frobnicate(1)",                                  // unknown clause
+        "target device()",                                         // empty device list
+        "target device(0:)",                                       // dangling colon
+        "target map(to:)",                                         // empty item list
+        "target map(sideways: x)",                                 // bad direction
+        "target map(to: x[0:n)",                                   // unbalanced
+        "parallel for collapse(0)",                                // zero collapse
+        "parallel for collapse(two)",                              // non-integer
+        "parallel for distribute dist_schedule(target:[WIBBLE])",  // unknown kind
         "parallel for distribute dist_schedule(sideways:[BLOCK])", // bad level
-        "parallel for reduction(&:x)",                       // bad operator
-        "target map(to: x[0:n] partition([CYCLIC]))",        // policy not in Table I
-        "parallel for num_threads()",                        // empty expression
+        "parallel for reduction(&:x)",                             // bad operator
+        "target map(to: x[0:n] partition([CYCLIC]))",              // policy not in Table I
+        "parallel for num_threads()",                              // empty expression
     ];
     for src in invalid {
         if parse_directive(src).is_ok() {

@@ -96,8 +96,7 @@ pub fn classify(kernel: &KernelIntensity, thresholds: &ClassThresholds) -> Kerne
     let mem_comp = kernel.mem_comp();
     if data_comp >= thresholds.data_intensive {
         KernelClass::DataIntensive
-    } else if data_comp < thresholds.compute_intensive && mem_comp < thresholds.compute_intensive
-    {
+    } else if data_comp < thresholds.compute_intensive && mem_comp < thresholds.compute_intensive {
         KernelClass::ComputeIntensive
     } else {
         KernelClass::Balanced
@@ -153,10 +152,7 @@ mod tests {
         );
         // MatMul at N=6144: ratios ≈ 1.5/N → compute-intensive.
         let n = 6144.0;
-        assert_eq!(
-            classify(&intensity(2.0 * n, 3.0, 3.0), &th),
-            KernelClass::ComputeIntensive
-        );
+        assert_eq!(classify(&intensity(2.0 * n, 3.0, 3.0), &th), KernelClass::ComputeIntensive);
         // Stencil 13-pt: MemComp 0.5, DataComp 1/13 → balanced.
         assert_eq!(classify(&intensity(26.0, 13.0, 2.0), &th), KernelClass::Balanced);
         // Block matching: 0.5 / 0.06 → balanced-to-compute; MemComp 0.5
@@ -170,10 +166,7 @@ mod tests {
 
     #[test]
     fn selection_rules_match_paper() {
-        assert_eq!(
-            select_algorithm(KernelClass::ComputeIntensive, true),
-            AlgorithmChoice::Block
-        );
+        assert_eq!(select_algorithm(KernelClass::ComputeIntensive, true), AlgorithmChoice::Block);
         assert_eq!(
             select_algorithm(KernelClass::ComputeIntensive, false),
             AlgorithmChoice::Model1Auto

@@ -154,11 +154,8 @@ pub fn model2_shares(devices: &[DeviceParams], kernel: &KernelIntensity, n: u64)
         let t0 = (n as f64 + sum_fixed_over_c) / sum_inv_c;
 
         // Devices whose fixed cost exceeds T0 would get negative work.
-        let dropped: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&i| costs[i].fixed >= t0)
-            .collect();
+        let dropped: Vec<usize> =
+            active.iter().copied().filter(|&i| costs[i].fixed >= t0).collect();
         if dropped.is_empty() || active.len() == 1 {
             let mut shares = vec![0.0; devices.len()];
             for (&i, ic) in active.iter().zip(&inv_c) {

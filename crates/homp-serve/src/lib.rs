@@ -493,7 +493,10 @@ mod tests {
 
         let mut rt = Runtime::new(m.clone(), 42);
         let mut k = PhantomKernel::new(spec.intensity());
-        let direct = rt.offload(&spec.region(devices(&m), Algorithm::Model2 { cutoff: None }), &mut k).run().unwrap();
+        let direct = rt
+            .offload(&spec.region(devices(&m), Algorithm::Model2 { cutoff: None }), &mut k)
+            .run()
+            .unwrap();
 
         let mut srv = Server::new(m.clone(), 42);
         let served = srv.serve(vec![request(&m, spec, 7, 0.0)]).unwrap();
@@ -526,8 +529,7 @@ mod tests {
             srv.serve(vec![request(&m, spec, 0, 0.0), request(&m, spec, 1, 0.0)]).unwrap()
         };
         assert_eq!(both.outcomes.len(), 2);
-        let slowest =
-            both.outcomes.iter().map(|o| o.latency().as_secs()).fold(0.0f64, f64::max);
+        let slowest = both.outcomes.iter().map(|o| o.latency().as_secs()).fold(0.0f64, f64::max);
         assert!(
             slowest > solo.horizon.as_secs() * 1.5,
             "contention must show up in latency: slowest {slowest} vs solo {}",
@@ -597,10 +599,8 @@ mod tests {
                 let rep = srv.serve(reqs).unwrap();
                 assert_eq!(rep.decisions.len(), 30);
                 for (i, d) in rep.decisions.iter().enumerate() {
-                    let waiting = rep.outcomes[i..]
-                        .iter()
-                        .filter(|o| o.arrival <= d.decided_at)
-                        .count();
+                    let waiting =
+                        rep.outcomes[i..].iter().filter(|o| o.arrival <= d.decided_at).count();
                     assert_eq!(d.queue_depth, waiting, "{policy:?} window {window} decision {i}");
                 }
                 if policy == ServePolicy::Fifo {
@@ -626,8 +626,11 @@ mod tests {
             let mut srv = Server::new(m.clone(), 42).policy(policy).max_inflight(1);
             let reqs: Vec<ServeRequest<'static>> = (0..10)
                 .map(|i| {
-                    request(&m, spec, (i % 2) as TenantId, 0.0)
-                        .with_weight(if i % 2 == 0 { 4.0 } else { 1.0 })
+                    request(&m, spec, (i % 2) as TenantId, 0.0).with_weight(if i % 2 == 0 {
+                        4.0
+                    } else {
+                        1.0
+                    })
                 })
                 .collect();
             srv.serve(reqs).unwrap()
@@ -655,8 +658,7 @@ mod tests {
         assert_eq!(rep.tenants.len(), 4);
         assert_eq!(rep.tenants.iter().map(|t| t.requests).sum::<u64>(), 12);
         let total_iters: u64 = rep.tenants.iter().map(|t| t.iters).sum();
-        let expect: u64 =
-            rep.outcomes.iter().map(|o| o.report.counts.iter().sum::<u64>()).sum();
+        let expect: u64 = rep.outcomes.iter().map(|o| o.report.counts.iter().sum::<u64>()).sum();
         assert_eq!(total_iters, expect);
         for t in &rep.tenants {
             assert!(t.p50_latency_s <= t.p99_latency_s);

@@ -68,8 +68,7 @@ fn reference_pick(
                 ka.0.total_cmp(&kb.0).then(ka.1.cmp(&kb.1)).is_lt()
             }
             ServePolicy::WeightedFair => {
-                let c =
-                    |i: usize| *credit.get(&slots[i].as_ref().unwrap().tenant).unwrap_or(&0.0);
+                let c = |i: usize| *credit.get(&slots[i].as_ref().unwrap().tenant).unwrap_or(&0.0);
                 let (ca, cb) = (c(queue[cand]), c(queue[best]));
                 let (ka, kb) = (fifo_key(queue[cand]), fifo_key(queue[best]));
                 ca.total_cmp(&cb).then(ka.0.total_cmp(&kb.0)).then(ka.1.cmp(&kb.1)).is_lt()
@@ -103,8 +102,7 @@ fn reference_decisions(
     let mut next = 0usize;
     let mut decisions = Vec::new();
     loop {
-        while next < by_arrival.len() && slots[by_arrival[next]].as_ref().unwrap().arrival <= now
-        {
+        while next < by_arrival.len() && slots[by_arrival[next]].as_ref().unwrap().arrival <= now {
             queue.push(by_arrival[next]);
             next += 1;
         }
@@ -143,7 +141,9 @@ fn reference_decisions(
 /// Every field of a decision, floats as raw bits.
 fn fingerprint(d: &[ServeDecision]) -> Vec<(usize, TenantId, u64, usize, u64)> {
     d.iter()
-        .map(|d| (d.seq, d.tenant, d.decided_at.as_secs().to_bits(), d.queue_depth, d.credit.to_bits()))
+        .map(|d| {
+            (d.seq, d.tenant, d.decided_at.as_secs().to_bits(), d.queue_depth, d.credit.to_bits())
+        })
         .collect()
 }
 

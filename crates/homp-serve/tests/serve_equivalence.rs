@@ -56,14 +56,8 @@ fn fault_scripts(seed: u64) -> Vec<(&'static str, FaultConfig)> {
             ),
         ),
         ("transient-dma", FaultConfig::new(FaultPlan::new(seed).with_transient_dma(0, 0.25))),
-        (
-            "launch-timeouts",
-            FaultConfig::new(FaultPlan::new(seed).with_launch_timeouts(3, 0.2)),
-        ),
-        (
-            "slowdown",
-            FaultConfig::new(FaultPlan::new(seed).with_slowdown(1, 3.0, 0.0002, 0.0040)),
-        ),
+        ("launch-timeouts", FaultConfig::new(FaultPlan::new(seed).with_launch_timeouts(3, 0.2))),
+        ("slowdown", FaultConfig::new(FaultPlan::new(seed).with_slowdown(1, 3.0, 0.0002, 0.0040))),
     ]
 }
 

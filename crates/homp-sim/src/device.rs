@@ -219,7 +219,7 @@ pub fn nvidia_k40(id: DeviceId, bus_group: u32) -> DeviceDescriptor {
         memory: MemoryKind::Discrete,
         launch_overhead: 10e-6,
         mem_capacity: 12 << 30, // 12 GB GDDR5
-        teams: 15, // SMX units
+        teams: 15,              // SMX units
     }
 }
 
@@ -240,7 +240,7 @@ pub fn xeon_phi_7120p(id: DeviceId, bus_group: u32) -> DeviceDescriptor {
         memory: MemoryKind::Discrete,
         launch_overhead: 1e-3,
         mem_capacity: 16 << 30, // 16 GB GDDR5
-        teams: 61, // in-order cores
+        teams: 61,              // in-order cores
     }
 }
 

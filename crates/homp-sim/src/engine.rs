@@ -476,14 +476,7 @@ impl Engine {
             let stretch = self.faults.slowdown_factor(dev, start);
             if stretch != 1.0 {
                 span = span.scale(stretch);
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    start,
-                    0,
-                    &format!("{label} [slowdown]"),
-                );
+                self.record_op(dev, OpKind::Fault, start, start, 0, &format!("{label} [slowdown]"));
             }
         }
         let end = start + span;
@@ -505,14 +498,7 @@ impl Engine {
                 // The transfer dies mid-flight; bus and engine are
                 // held until the failure instant.
                 self.commit_transfer(dev, dir, bus_slot, tf);
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    tf,
-                    bytes,
-                    &format!("{label} [dropout]"),
-                );
+                self.record_op(dev, OpKind::Fault, start, tf, bytes, &format!("{label} [dropout]"));
                 return Err(Fault { device: dev, kind: FaultKind::Dropout, at: tf });
             }
             if self.faults.dma_fault_at(dev, seq, start) {
@@ -597,14 +583,7 @@ impl Engine {
             let stretch = self.faults.slowdown_factor(dev, start);
             if stretch != 1.0 {
                 span = span.scale(stretch);
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    start,
-                    0,
-                    &format!("{label} [slowdown]"),
-                );
+                self.record_op(dev, OpKind::Fault, start, start, 0, &format!("{label} [slowdown]"));
             }
         }
         let end = start + span;
@@ -648,8 +627,7 @@ impl Engine {
                 let mut worst: f64 = 0.0;
                 for t in 0..teams {
                     let iters_t = base + u64::from(t < rem);
-                    let jitter =
-                        self.noise.factor(dev, seq.wrapping_mul(1031).wrapping_add(t));
+                    let jitter = self.noise.factor(dev, seq.wrapping_mul(1031).wrapping_add(t));
                     worst = worst.max(iters_t as f64 * per_iter * jitter);
                 }
                 SimSpan::from_secs(worst)
@@ -671,8 +649,7 @@ impl Engine {
                     if iters_c == 0 {
                         continue;
                     }
-                    let jitter =
-                        self.noise.factor(dev, seq.wrapping_mul(2053).wrapping_add(c));
+                    let jitter = self.noise.factor(dev, seq.wrapping_mul(2053).wrapping_add(c));
                     let (slot, _) = team_free
                         .iter()
                         .enumerate()
@@ -741,7 +718,12 @@ impl Engine {
     /// [`FaultPlan`] for launch timeouts and device dropout: a timed-out
     /// launch holds the compute engine until the watchdog fires, then
     /// fails.
-    pub fn try_launch(&mut self, dev: DeviceId, ready: SimTime, label: &str) -> Result<SimTime, Fault> {
+    pub fn try_launch(
+        &mut self,
+        dev: DeviceId,
+        ready: SimTime,
+        label: &str,
+    ) -> Result<SimTime, Fault> {
         let d = &self.machine.devices[dev as usize];
         let span = SimSpan::from_secs(d.launch_overhead);
         let start = ready.max(self.compute_free[dev as usize]);
@@ -1085,12 +1067,7 @@ mod tests {
         let work = ChunkWork::new(1_000_000, &k);
         let end = try_compute(&mut e, 0, &work, SimTime::ZERO, "c").unwrap();
         assert!((end.as_secs() - base * 2.5).abs() < 1e-12, "compute stretched by factor");
-        let slow_marks = e
-            .trace()
-            .events()
-            .iter()
-            .filter(|ev| ev.kind == OpKind::Fault)
-            .count();
+        let slow_marks = e.trace().events().iter().filter(|ev| ev.kind == OpKind::Fault).count();
         assert_eq!(slow_marks, 1, "one zero-length slowdown marker");
 
         // A transfer inside the window stretches too.
@@ -1109,9 +1086,7 @@ mod tests {
             let mut e = Engine::new(Machine::four_k40(), NoiseModel::new(3, 0.05));
             if with_plan {
                 // Window far in the future: nothing here reaches it.
-                e.set_fault_plan(
-                    crate::fault::FaultPlan::new(1).with_slowdown(0, 4.0, 1e6, 2e6),
-                );
+                e.set_fault_plan(crate::fault::FaultPlan::new(1).with_slowdown(0, 4.0, 1e6, 2e6));
             }
             let t = e.try_transfer(0, 1 << 20, Dir::H2D, SimTime::ZERO, "x").unwrap();
             let c = try_compute(&mut e, 0, &ChunkWork::new(10_000, &k), t, "c").unwrap();
@@ -1151,16 +1126,12 @@ mod tests {
     #[test]
     fn flaky_window_faults_inside_and_stays_clean_outside() {
         let mut e = Engine::noiseless(Machine::four_k40());
-        e.set_fault_plan(
-            crate::fault::FaultPlan::new(0).with_flaky_window(0, 0.0, 1e9, 1.0, 0.0),
-        );
+        e.set_fault_plan(crate::fault::FaultPlan::new(0).with_flaky_window(0, 0.0, 1e9, 1.0, 0.0));
         let err = e.try_transfer(0, 1 << 20, Dir::H2D, SimTime::ZERO, "x").unwrap_err();
         assert_eq!(err.kind, crate::fault::FaultKind::TransientDma);
         // A window that never covers the run injects nothing.
         let mut e2 = Engine::noiseless(Machine::four_k40());
-        e2.set_fault_plan(
-            crate::fault::FaultPlan::new(0).with_flaky_window(0, 1e6, 2e6, 1.0, 1.0),
-        );
+        e2.set_fault_plan(crate::fault::FaultPlan::new(0).with_flaky_window(0, 1e6, 2e6, 1.0, 1.0));
         assert!(e2.try_transfer(0, 1 << 20, Dir::H2D, SimTime::ZERO, "x").is_ok());
         assert!(e2.try_launch(0, SimTime::ZERO, "l").is_ok());
     }
@@ -1313,9 +1284,7 @@ mod team_tests {
             let work = ChunkWork::new(iters, &k);
             e.try_compute_teams(0, &work, SimTime::ZERO, "t", sched).unwrap().as_secs()
         };
-        let mean = |sched: TeamSched| {
-            (0..20).map(|s| run(sched, s)).sum::<f64>() / 20.0
-        };
+        let mean = |sched: TeamSched| (0..20).map(|s| run(sched, s)).sum::<f64>() / 20.0;
         let agg = mean(TeamSched::Aggregate);
         let block = mean(TeamSched::Block);
         let dynamic = mean(TeamSched::Dynamic);
@@ -1351,7 +1320,12 @@ mod team_tests {
         let mut b = a.clone();
         // Peek many times on one engine, never on the other.
         for i in 0..5 {
-            let _ = a.peek_compute_end(0, &ChunkWork::new(1000 + i, &k), SimTime::ZERO, TeamSched::Aggregate);
+            let _ = a.peek_compute_end(
+                0,
+                &ChunkWork::new(1000 + i, &k),
+                SimTime::ZERO,
+                TeamSched::Aggregate,
+            );
         }
         let ea = a.compute(0, &ChunkWork::new(5_000, &k), SimTime::ZERO, "x");
         let eb = b.compute(0, &ChunkWork::new(5_000, &k), SimTime::ZERO, "x");

@@ -502,9 +502,8 @@ mod tests {
         // inside the window every base-rate fault still fires, and
         // outside the window the draws are exactly the base draws.
         let base = FaultPlan::new(13).with_transient_dma(0, 0.3);
-        let flaky = FaultPlan::new(13).with_transient_dma(0, 0.3).with_flaky_window(
-            0, 1.0, 2.0, 0.8, 0.0,
-        );
+        let flaky =
+            FaultPlan::new(13).with_transient_dma(0, 0.3).with_flaky_window(0, 1.0, 2.0, 0.8, 0.0);
         for s in 0..512 {
             let inside = SimTime::from_secs(1.5);
             let outside = SimTime::from_secs(0.5);

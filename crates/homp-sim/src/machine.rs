@@ -94,12 +94,7 @@ impl Machine {
     pub fn two_cpus_two_mics() -> Machine {
         Machine::new(
             "2cpu+2mic",
-            vec![
-                xeon_e5_2699v3(0),
-                xeon_e5_2699v3(1),
-                xeon_phi_7120p(2, 0),
-                xeon_phi_7120p(3, 1),
-            ],
+            vec![xeon_e5_2699v3(0), xeon_e5_2699v3(1), xeon_phi_7120p(2, 0), xeon_phi_7120p(3, 1)],
         )
     }
 
@@ -254,16 +249,14 @@ impl Machine {
                             }
                         }
                     }
-                    let dev_type = dev_type
-                        .ok_or(MachineParseError::new(lineno, "device needs type="))?;
+                    let dev_type =
+                        dev_type.ok_or(MachineParseError::new(lineno, "device needs type="))?;
                     let peak =
                         peak.ok_or(MachineParseError::new(lineno, "device needs peak_gflops="))?;
                     let bw =
                         bw.ok_or(MachineParseError::new(lineno, "device needs mem_bw_gbs="))?;
                     let link = match (alpha, beta) {
-                        (Some(a), Some(b)) => {
-                            Some(Link { hockney: Hockney::new(a, b), bus_group })
-                        }
+                        (Some(a), Some(b)) => Some(Link { hockney: Hockney::new(a, b), bus_group }),
                         (None, None) => None,
                         _ => {
                             return Err(MachineParseError::new(
@@ -479,10 +472,8 @@ mod capacity_tests {
 
     #[test]
     fn capacity_defaults_when_omitted() {
-        let m = Machine::parse_description(
-            "device h type=host peak_gflops=100 mem_bw_gbs=10",
-        )
-        .unwrap();
+        let m =
+            Machine::parse_description("device h type=host peak_gflops=100 mem_bw_gbs=10").unwrap();
         assert_eq!(m.devices[0].mem_capacity, 64 << 30);
         assert_eq!(m.devices[0].teams, 16);
     }

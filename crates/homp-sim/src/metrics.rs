@@ -293,13 +293,12 @@ impl Metrics {
             m.dma_s = total_len(dma);
             m.overlap_s = intersection_len(compute, dma);
             let hideable = m.compute_s.min(m.dma_s);
-            m.overlap_fraction = if hideable > 0.0 { (m.overlap_s / hideable).min(1.0) } else { 0.0 };
+            m.overlap_fraction =
+                if hideable > 0.0 { (m.overlap_s / hideable).min(1.0) } else { 0.0 };
             m.utilization =
                 if makespan_s > 0.0 { (m.busy_union_s / makespan_s).min(1.0) } else { 0.0 };
             m.queue_wait_s = match (work.first(), work.last()) {
-                (Some(&(first, _)), Some(&(_, last))) => {
-                    ((last - first) - m.busy_union_s).max(0.0)
-                }
+                (Some(&(first, _)), Some(&(_, last))) => ((last - first) - m.busy_union_s).max(0.0),
                 _ => 0.0,
             };
         }

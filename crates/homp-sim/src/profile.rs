@@ -175,13 +175,8 @@ mod tests {
     fn solve_hockney_recovers_and_survives_degenerate_timings() {
         let (small, large) = (1u64 << 16, 1u64 << 26);
         // Clean two-point data recovers the ground truth.
-        let h = solve_hockney(
-            small,
-            1e-5 + small as f64 / 1e10,
-            large,
-            1e-5 + large as f64 / 1e10,
-        )
-        .unwrap();
+        let h = solve_hockney(small, 1e-5 + small as f64 / 1e10, large, 1e-5 + large as f64 / 1e10)
+            .unwrap();
         assert!((h.beta - 1e10).abs() / 1e10 < 1e-9);
         assert!((h.alpha - 1e-5).abs() < 1e-12);
         // Inverted ordering (noise): single-point fallback on the large
@@ -220,11 +215,7 @@ mod tests {
         let (seed, e) = hit.expect("an inverting seed exists in the scan range");
         let p = profile_device(&e, 0);
         let link = p.link.expect("K40 has a link");
-        assert!(
-            link.beta.is_finite() && link.beta > 0.0,
-            "seed {seed}: beta {}",
-            link.beta
-        );
+        assert!(link.beta.is_finite() && link.beta > 0.0, "seed {seed}: beta {}", link.beta);
         assert!(link.alpha.is_finite() && link.alpha >= 0.0);
         assert!(p.perf_flops.is_finite() && p.perf_flops > 0.0);
         assert!(p.mem_bw.is_finite() && p.mem_bw > 0.0);

@@ -369,13 +369,8 @@ impl Trace {
         // Grow past `n_devices` if the trace mentions higher device ids
         // (e.g. a merged trace or a machine-file mismatch) — a chart
         // with extra rows beats a panic.
-        let rows_n = self
-            .events
-            .iter()
-            .map(|e| e.device as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(n_devices);
+        let rows_n =
+            self.events.iter().map(|e| e.device as usize + 1).max().unwrap_or(0).max(n_devices);
         let mut rows = vec![vec![' '; width]; rows_n];
         for e in self.rows() {
             let glyph = match e.kind {
@@ -437,11 +432,6 @@ mod tests {
         }
     }
 
-
-
-
-
-
     #[test]
     fn csv_has_header_and_rows() {
         let mut tr = Trace::new();
@@ -474,7 +464,6 @@ mod tests {
         assert!(g.contains("dev5 |"));
         assert_eq!(g.matches('|').count(), 12, "6 rows, two bars each:\n{g}");
     }
-
 
     #[test]
     fn chrome_json_is_well_formed() {

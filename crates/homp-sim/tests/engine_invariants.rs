@@ -17,8 +17,11 @@ fn arb_op(n_dev: u32) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..n_dev, 1u64..100_000_000, prop_oneof![Just(Dir::H2D), Just(Dir::D2H)], 0.0f64..10.0)
             .prop_map(|(dev, bytes, dir, after_ms)| Op::Transfer { dev, bytes, dir, after_ms }),
-        (0..n_dev, 1u64..50_000_000, 0.0f64..10.0)
-            .prop_map(|(dev, iters, after_ms)| Op::Compute { dev, iters, after_ms }),
+        (0..n_dev, 1u64..50_000_000, 0.0f64..10.0).prop_map(|(dev, iters, after_ms)| Op::Compute {
+            dev,
+            iters,
+            after_ms
+        }),
         (0..n_dev, 0.0f64..10.0).prop_map(|(dev, after_ms)| Op::Launch { dev, after_ms }),
     ]
 }
@@ -36,13 +39,9 @@ fn apply(engine: &mut Engine, ops: &[Op]) -> Vec<SimTime> {
     let k = intensity();
     ops.iter()
         .map(|op| match op {
-            Op::Transfer { dev, bytes, dir, after_ms } => engine.transfer(
-                *dev,
-                *bytes,
-                *dir,
-                SimTime::from_secs(after_ms * 1e-3),
-                "t",
-            ),
+            Op::Transfer { dev, bytes, dir, after_ms } => {
+                engine.transfer(*dev, *bytes, *dir, SimTime::from_secs(after_ms * 1e-3), "t")
+            }
             Op::Compute { dev, iters, after_ms } => engine.compute(
                 *dev,
                 &ChunkWork::new(*iters, &k),
@@ -84,8 +83,7 @@ fn reference_replay(engine: &Engine, noise: &NoiseModel, ops: &[Op]) -> Trace {
     let mut h2d_free = vec![SimTime::ZERO; n];
     let mut d2h_free = vec![SimTime::ZERO; n];
     let mut op_seq = vec![0u64; n];
-    let mut bus: std::collections::HashMap<(u32, Dir), SimTime> =
-        std::collections::HashMap::new();
+    let mut bus: std::collections::HashMap<(u32, Dir), SimTime> = std::collections::HashMap::new();
     let mut tr = Trace::new();
     for op in ops {
         match *op {
@@ -97,10 +95,8 @@ fn reference_replay(engine: &Engine, noise: &NoiseModel, ops: &[Op]) -> Trace {
                 }
                 op_seq[dev as usize] += 1;
                 let span = span.scale(noise.factor(dev, op_seq[dev as usize]));
-                let group = engine.machine().devices[dev as usize]
-                    .link
-                    .expect("linked device")
-                    .bus_group;
+                let group =
+                    engine.machine().devices[dev as usize].link.expect("linked device").bus_group;
                 let bus_free = *bus.get(&(group, dir)).unwrap_or(&SimTime::ZERO);
                 let engine_free = match dir {
                     Dir::H2D => h2d_free[dev as usize],

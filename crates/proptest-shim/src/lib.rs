@@ -234,8 +234,7 @@ pub mod strategy {
             (0..len)
                 .map(|_| match rng.below(10) {
                     0 => char::from_u32(rng.below(0x20) as u32).unwrap_or('\u{1}'),
-                    1 => ['é', 'λ', '→', '💥', '\u{7f}', '\u{a0}', '�']
-                        [rng.below(7) as usize],
+                    1 => ['é', 'λ', '→', '💥', '\u{7f}', '\u{a0}', '�'][rng.below(7) as usize],
                     _ => (0x20u8 + rng.below(0x5f) as u8) as char,
                 })
                 .collect()
@@ -352,8 +351,10 @@ pub mod option {
 
 pub mod prelude {
     pub use crate::strategy::{Just, Strategy};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
     pub use crate::ProptestConfig;
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 #[macro_export]

@@ -10,10 +10,7 @@ use homp::kernels::block_matching::{self, BlockMatching};
 use homp::prelude::*;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(128);
+    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(128);
 
     println!("Block matching on a {n}x{n} frame (16x16 blocks, +/-4 search)");
     println!("reference frame = current frame shifted by (+2,+1)\n");

@@ -25,17 +25,20 @@ fn main() {
         let mut phantom = PhantomKernel::new(spec.intensity());
         let report = rt.offload(&region, &mut phantom).run().expect("offload");
 
-        let kept: Vec<String> = report
-            .kept_devices
-            .iter()
-            .map(|&d| machine.devices[d as usize].name.clone())
-            .collect();
+        let kept: Vec<String> =
+            report.kept_devices.iter().map(|&d| machine.devices[d as usize].name.clone()).collect();
         let class = homp::model::heuristics::classify(
             &spec.intensity(),
             &homp::model::heuristics::ClassThresholds::default(),
         );
         println!("{:<16} [{class}]", spec.label());
-        println!("  time {:>10.3} ms | kept {}/{}: {}", report.time_ms(), kept.len(), 7, kept.join(", "));
+        println!(
+            "  time {:>10.3} ms | kept {}/{}: {}",
+            report.time_ms(),
+            kept.len(),
+            7,
+            kept.join(", ")
+        );
         let shares: Vec<String> = report
             .counts
             .iter()

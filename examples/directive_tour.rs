@@ -10,8 +10,7 @@ use homp::prelude::*;
 
 fn main() {
     let machine = Machine::full_node();
-    let type_names: Vec<&str> =
-        machine.devices.iter().map(|d| d.dev_type.homp_name()).collect();
+    let type_names: Vec<&str> = machine.devices.iter().map(|d| d.dev_type.homp_name()).collect();
 
     println!("== 1. Extended device clauses ==");
     for src in [
@@ -78,16 +77,15 @@ fn main() {
         &CompileOptions::for_loop("jacobi", 512).with_loop_label("loop1"),
     )
     .unwrap();
-    println!("  region `{}`: {} devices, {} arrays, algorithm {}", region.name,
-             region.devices.len(), region.arrays.len(), region.algorithm);
+    println!(
+        "  region `{}`: {} devices, {} arrays, algorithm {}",
+        region.name,
+        region.devices.len(),
+        region.arrays.len(),
+        region.algorithm
+    );
     for a in &region.arrays {
-        println!(
-            "    {:<6} {:<7} dims {:?} halo {:?}",
-            a.name,
-            a.dir.to_string(),
-            a.dims,
-            a.halo
-        );
+        println!("    {:<6} {:<7} dims {:?} halo {:?}", a.name, a.dir.to_string(), a.dims, a.halo);
     }
 
     println!("\n== 7. Pipeline clauses: nowait + depend ==");
@@ -101,13 +99,9 @@ fn main() {
     .unwrap();
     println!("  canonical form:");
     println!("  {sweep}");
-    let stage = homp::core::compile(
-        &[&sweep],
-        &env,
-        &type_names,
-        &CompileOptions::for_loop("sweep", 512),
-    )
-    .unwrap();
+    let stage =
+        homp::core::compile(&[&sweep], &env, &type_names, &CompileOptions::for_loop("sweep", 512))
+            .unwrap();
     println!(
         "  lowered: nowait={} depend(in: {:?}) depend(out: {:?})",
         stage.nowait, stage.depends_in, stage.depends_out

@@ -76,11 +76,7 @@ fn main() {
     let region = matvec::region(n, vec![0, 1, 2], Algorithm::Model2 { cutoff: Some(0.15) });
     let mut phantom = PhantomKernel::new(matvec::intensity(n));
     match rt.offload(&region, &mut phantom).run() {
-        Ok(r) => println!(
-            "  ran in {:.3} ms; devices kept: {:?}",
-            r.time_ms(),
-            r.kept_devices
-        ),
+        Ok(r) => println!("  ran in {:.3} ms; devices kept: {:?}", r.time_ms(), r.kept_devices),
         Err(e) => println!("  failed: {e}"),
     }
 

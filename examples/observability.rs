@@ -22,9 +22,7 @@ fn run(homp: &mut Homp, schedule: &str) -> OffloadReport {
                 "#pragma omp parallel target device(*) \
                  map(tofrom: y[0:n] partition([ALIGN(loop)])) \
                  map(to: x[0:n] partition([ALIGN(loop)]),a,n)",
-                &format!(
-                    "#pragma omp parallel for distribute dist_schedule(target:[{schedule}])"
-                ),
+                &format!("#pragma omp parallel for distribute dist_schedule(target:[{schedule}])"),
             ],
             &env,
             CompileOptions::for_loop("axpy", N as u64),

@@ -74,9 +74,8 @@ fn run(homp: &mut Homp, n: usize, nowait: bool) -> (PipelineReport, f64) {
     let mut smooth = vec![0.0f64; n];
     let mut partial = vec![0.0f64; n];
     let report = {
-        let mut kernel = FnPipelineKernel::new(
-            vec![intensity(3.0), intensity(1.0)],
-            |stage, r: Range| {
+        let mut kernel =
+            FnPipelineKernel::new(vec![intensity(3.0), intensity(1.0)], |stage, r: Range| {
                 for i in r.start as usize..r.end as usize {
                     match stage {
                         0 => {
@@ -87,8 +86,7 @@ fn run(homp: &mut Homp, n: usize, nowait: bool) -> (PipelineReport, f64) {
                         _ => partial[i] = smooth[i] * smooth[i],
                     }
                 }
-            },
-        );
+            });
         homp.offload_pipeline(&pipe, &mut kernel).expect("pipeline runs")
     };
 

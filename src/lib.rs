@@ -80,14 +80,14 @@ pub mod prelude {
         Algorithm, ChunkDecision, ChunkingPolicy, CompileError, CompileOptions, DataRegion,
         DataRegionReport, FaultConfig, FnKernel, FnPipelineKernel, Homp, HompError,
         KernelDescriptor, KernelInfo, LoopKernel, OffloadBuilder, OffloadError, OffloadRegion,
-        OffloadReport, Pipeline, PipelineBuilder, PipelineKernel,
-        PipelineReport, Range, RunReport, Runtime, RuntimeConfig, UpdateReport,
+        OffloadReport, Pipeline, PipelineBuilder, PipelineKernel, PipelineReport, Range, RunReport,
+        Runtime, RuntimeConfig, UpdateReport,
     };
     pub use homp_kernels::{KernelSpec, PhantomKernel};
+    pub use homp_lang::{parse_directive, Env, ParseError};
+    pub use homp_model::KernelIntensity;
     pub use homp_serve::{
         RequestOutcome, ServePolicy, ServeReport, ServeRequest, Server, TenantId, TenantStats,
     };
-    pub use homp_lang::{parse_directive, Env, ParseError};
-    pub use homp_model::KernelIntensity;
     pub use homp_sim::{FaultPlan, Machine, Metrics, SimSpan, SimTime, TransferStats};
 }

@@ -63,8 +63,7 @@ fn region_matches_region_free_numerics() {
 
     let mut free_grid = Jacobi::new(N, M);
     let mut rt = Runtime::new(Machine::four_k40(), SEED);
-    let free =
-        free_grid.run_per_offload(&mut rt, vec![0, 1, 2, 3], Algorithm::Block, SWEEPS, 0.0);
+    let free = free_grid.run_per_offload(&mut rt, vec![0, 1, 2, 3], Algorithm::Block, SWEEPS, 0.0);
 
     assert_eq!(resident_grid.u, free_grid.u, "region must not change the math");
     assert_eq!(resident.error.to_bits(), free.error.to_bits());
@@ -90,9 +89,8 @@ fn facade_data_region_guard_round_trips() {
          map(to: x[0:n] partition([ALIGN(loop)]), a, n)",
         "#pragma omp parallel for distribute dist_schedule(target:[BLOCK])",
     ];
-    let mut region = homp
-        .data_region(&sources, &env, CompileOptions::for_loop("axpy", n as u64))
-        .unwrap();
+    let mut region =
+        homp.data_region(&sources, &env, CompileOptions::for_loop("axpy", n as u64)).unwrap();
 
     let a = 2.0f64;
     let x = vec![1.0f64; n];
@@ -146,9 +144,8 @@ fn chunked_offloads_elide_a_resident_whole_array() {
     env.insert("n".into(), n as i64);
     let sources = axpy_sources("target data", "", "SCHED_DYNAMIC,10%");
     let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let mut region = homp
-        .data_region(&sources, &env, CompileOptions::for_loop("axpy", n as u64))
-        .unwrap();
+    let mut region =
+        homp.data_region(&sources, &env, CompileOptions::for_loop("axpy", n as u64)).unwrap();
 
     let x = vec![1.0f64; n];
     let mut y = vec![0.0f64; n];
@@ -190,10 +187,7 @@ fn chunked_offload_between_static_ones_drops_aligned_residency() {
     let before = *region.stats();
     region.offload_here(&mut axpy_kernel(&x, &mut y)).run().unwrap();
     let moved = region.stats().h2d_bytes - before.h2d_bytes;
-    assert!(
-        moved >= (2 * n * 8) as u64,
-        "x and y uploaded again, not elided: {moved} bytes moved"
-    );
+    assert!(moved >= (2 * n * 8) as u64, "x and y uploaded again, not elided: {moved} bytes moved");
     let close = region.close().unwrap();
     assert_eq!(close.flushed_bytes, (n * 8) as u64, "the last BLOCK's y rows flush once");
     assert!(y.iter().all(|&v| v == 6.0));

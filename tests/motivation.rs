@@ -66,6 +66,7 @@ fn manual_even_split_is_the_block_algorithm() {
     let n = 10_003u64; // remainder 3
     let mut rt = Runtime::new(m, 1);
     let mut k = axpy::Axpy::new(n as usize, 1.0);
-    let rep = rt.offload(&axpy::region(n, vec![0, 1, 2, 3], Algorithm::Block), &mut k).run().unwrap();
+    let rep =
+        rt.offload(&axpy::region(n, vec![0, 1, 2, 3], Algorithm::Block), &mut k).run().unwrap();
     assert_eq!(rep.counts, vec![2501, 2501, 2501, 2500]);
 }

@@ -42,7 +42,9 @@ fn fig5_dynamic_beats_block_on_data_intensive_kernels() {
     // achieves overlapping of data movement and computation."
     let m = Machine::four_k40();
     let dynamic = Algorithm::Dynamic { chunk_pct: 2.0 };
-    for spec in [KernelSpec::Axpy(10_000_000), KernelSpec::MatVec(48_000), KernelSpec::Sum(300_000_000)] {
+    for spec in
+        [KernelSpec::Axpy(10_000_000), KernelSpec::MatVec(48_000), KernelSpec::Sum(300_000_000)]
+    {
         let b = mean_time(&m, spec, Algorithm::Block);
         let d = mean_time(&m, spec, dynamic);
         assert!(d < b, "{}: dynamic {d:.3} !< block {b:.3}", spec.label());
@@ -181,7 +183,9 @@ fn heuristics_never_catastrophic_on_large_kernels() {
     // §VI-D: the selected algorithm should be within 2x of the oracle
     // best for the three large kernels on every machine.
     for machine in [Machine::four_k40(), Machine::two_cpus_two_mics(), Machine::full_node()] {
-        for spec in [KernelSpec::Axpy(10_000_000), KernelSpec::MatMul(6_144), KernelSpec::Sum(300_000_000)] {
+        for spec in
+            [KernelSpec::Axpy(10_000_000), KernelSpec::MatMul(6_144), KernelSpec::Sum(300_000_000)]
+        {
             let rt = Runtime::new(machine.clone(), 1);
             let chosen = rt.resolve_auto(
                 Algorithm::Auto { cutoff: None },
@@ -225,8 +229,13 @@ fn dynamic_chunking_fixes_irregular_loops() {
             .trip_count(1_000_000)
             .devices(vec![0, 1, 2, 3])
             .algorithm(alg)
-            .map_1d("x", homp::lang::MapDir::To, 1_000_000, 8,
-                homp::lang::DistPolicy::Align { target: "loop".into(), ratio: 1 })
+            .map_1d(
+                "x",
+                homp::lang::MapDir::To,
+                1_000_000,
+                8,
+                homp::lang::DistPolicy::Align { target: "loop".into(), ratio: 1 },
+            )
             .cost_profile(triangular)
             .build();
         let mut k = FnKernel::new(intensity, |_r: Range| {});
