@@ -7,9 +7,9 @@
 //! the tail stays balanced with fewer scheduling transactions.
 //!
 //! A [`ChunkPolicy`] is a pure size rule; the shared counter lives in
-//! [`ChunkQueue`] (plain, for the simulator's single-threaded proxy
-//! loop) and in [`crate::host_exec`]'s atomic variant (compare-and-swap,
-//! as the paper's proxy threads do).
+//! [`ChunkQueue`], from which the runtime's simulated proxies take
+//! chunks in the order the paper's proxy threads would claim them by
+//! compare-and-swap.
 
 use crate::region::Range;
 use std::collections::VecDeque;

@@ -13,7 +13,7 @@
 //! Each family exposes *pure* planning functions (given device
 //! parameters / measured throughputs, produce per-device iteration
 //! counts or chunk sizes); the runtime in [`crate::runtime`] drives them
-//! against the simulator, and [`crate::host_exec`] against real threads.
+//! against the simulator.
 //! CUTOFF device filtering ([`homp_model::cutoff`]) composes with the
 //! model and profile families.
 

@@ -15,8 +15,7 @@
 //!   and device-specifier resolution;
 //! * [`core`] — the runtime: distribution and alignment engines, data
 //!   movement planning, the seven loop-distribution algorithms of
-//!   Table II, CUTOFF device selection, reductions, halo exchange, and
-//!   a real-thread host executor;
+//!   Table II, CUTOFF device selection, reductions and halo exchange;
 //! * [`model`] — the analytical models (roofline, Hockney, MODEL_1,
 //!   MODEL_2, heuristics);
 //! * [`kernels`] — the six evaluation kernels plus the Fig. 3 Jacobi
