@@ -8,7 +8,6 @@
 //! [`crate::align`].
 
 use crate::region::{is_partition, Range};
-use homp_model::apportion::{counts_to_ranges, largest_remainder};
 
 /// A concrete distribution of `[0, total)` across devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,26 +41,6 @@ impl Distribution {
             start += size;
         }
         Self { total, ranges, replicated: false }
-    }
-
-    /// From explicit per-device iteration counts (the output of the AUTO
-    /// algorithms), laid out contiguously in device order.
-    ///
-    /// # Panics
-    /// Panics if the counts do not sum to `total`.
-    pub fn from_counts(total: u64, counts: &[u64]) -> Self {
-        let sum: u64 = counts.iter().sum();
-        assert_eq!(sum, total, "counts must cover the space exactly");
-        Self {
-            total,
-            ranges: counts_to_ranges(counts).into_iter().map(|(s, e)| Range::new(s, e)).collect(),
-            replicated: false,
-        }
-    }
-
-    /// From fractional shares, apportioned to integers.
-    pub fn from_shares(total: u64, shares: &[f64]) -> Self {
-        Self::from_counts(total, &largest_remainder(shares, total))
     }
 
     /// The extent of the distributed space.
@@ -112,32 +91,6 @@ impl Distribution {
             is_partition(&self.ranges, self.total)
         }
     }
-
-    /// Which device slot owns index `i` (first match for replications).
-    pub fn owner_of(&self, i: u64) -> Option<usize> {
-        self.ranges.iter().position(|r| r.contains(i))
-    }
-}
-
-/// Per-dimension distribution of a multi-dimensional array: the paper's
-/// `partition([BLOCK])`, `partition([ALIGN(loop1)], FULL)` forms after
-/// alignment resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrayDist {
-    /// One resolved distribution per array dimension.
-    pub dims: Vec<Distribution>,
-}
-
-impl ArrayDist {
-    /// Elements of the subregion device `d` holds.
-    pub fn elems_for(&self, d: usize) -> u64 {
-        self.dims.iter().map(|dist| dist.range(d).len()).product()
-    }
-
-    /// Total elements of the array.
-    pub fn total_elems(&self) -> u64 {
-        self.dims.iter().map(|d| d.total()).product()
-    }
 }
 
 #[cfg(test)]
@@ -174,45 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_and_shares() {
-        let d = Distribution::from_counts(10, &[7, 0, 3]);
-        assert_eq!(d.range(1), Range::new(7, 7));
-        assert!(d.is_valid());
-        let s = Distribution::from_shares(100, &[0.75, 0.25]);
-        assert_eq!(s.counts(), vec![75, 25]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the space")]
-    fn from_counts_rejects_mismatch() {
-        Distribution::from_counts(10, &[5, 4]);
-    }
-
-    #[test]
     fn scaled_distribution() {
         let d = Distribution::block(10, 2).scaled(3);
         assert_eq!(d.total(), 30);
         assert_eq!(d.range(0), Range::new(0, 15));
         assert!(d.is_valid());
-    }
-
-    #[test]
-    fn owner_lookup() {
-        let d = Distribution::block(10, 4);
-        assert_eq!(d.owner_of(0), Some(0));
-        assert_eq!(d.owner_of(5), Some(1));
-        assert_eq!(d.owner_of(9), Some(3));
-        assert_eq!(d.owner_of(10), None);
-    }
-
-    #[test]
-    fn array_dist_elems() {
-        // u[0:8][0:10] with partition([BLOCK], FULL) over 4 devices.
-        let a = ArrayDist { dims: vec![Distribution::block(8, 4), Distribution::full(10, 4)] };
-        assert_eq!(a.total_elems(), 80);
-        assert_eq!(a.elems_for(0), 2 * 10);
-        let total: u64 = (0..4).map(|d| a.elems_for(d)).sum();
-        assert_eq!(total, 80, "block×full partitions the array");
     }
 
     proptest! {
@@ -226,15 +145,6 @@ mod tests {
             let mx = *c.iter().max().unwrap();
             let mn = *c.iter().min().unwrap();
             prop_assert!(mx - mn <= 1);
-        }
-
-        #[test]
-        fn from_shares_always_partitions(
-            shares in proptest::collection::vec(0.0f64..10.0, 1..9),
-            total in 0u64..100_000,
-        ) {
-            let d = Distribution::from_shares(total, &shares);
-            prop_assert!(d.is_valid());
         }
     }
 }

@@ -13,11 +13,6 @@ pub fn block_counts(trip_count: u64, n_devices: usize) -> Vec<u64> {
     Distribution::block(trip_count, n_devices).counts()
 }
 
-/// The even static distribution itself.
-pub fn block_distribution(trip_count: u64, n_devices: usize) -> Distribution {
-    Distribution::block(trip_count, n_devices)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

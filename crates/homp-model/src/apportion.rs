@@ -56,19 +56,6 @@ pub fn largest_remainder(weights: &[f64], total: u64) -> Vec<u64> {
     counts
 }
 
-/// Convert integer counts into contiguous `[start, end)` ranges covering
-/// `[0, total)` in device order. Devices with zero count get an empty
-/// range at their predecessor's end.
-pub fn counts_to_ranges(counts: &[u64]) -> Vec<(u64, u64)> {
-    let mut out = Vec::with_capacity(counts.len());
-    let mut start = 0u64;
-    for &c in counts {
-        out.push((start, start + c));
-        start += c;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +104,6 @@ mod tests {
         assert_eq!(largest_remainder(&[1.0, 2.0], 0), vec![0, 0]);
     }
 
-    #[test]
-    fn ranges_cover_contiguously() {
-        let ranges = counts_to_ranges(&[3, 0, 5]);
-        assert_eq!(ranges, vec![(0, 3), (3, 3), (3, 8)]);
-    }
-
     proptest! {
         #[test]
         fn always_sums_to_total(
@@ -146,22 +127,6 @@ mod tests {
                 prop_assert!((*got as f64 - exact).abs() <= 1.0 + 1e-9,
                     "count {} vs exact {}", got, exact);
             }
-        }
-
-        #[test]
-        fn ranges_partition_space(
-            weights in proptest::collection::vec(0.0f64..100.0, 1..9),
-            total in 0u64..100_000,
-        ) {
-            let c = largest_remainder(&weights, total);
-            let ranges = counts_to_ranges(&c);
-            let mut expect_start = 0u64;
-            for (s, e) in &ranges {
-                prop_assert_eq!(*s, expect_start);
-                prop_assert!(e >= s);
-                expect_start = *e;
-            }
-            prop_assert_eq!(expect_start, total);
         }
     }
 }

@@ -119,11 +119,6 @@ pub fn select_algorithm(class: KernelClass, homogeneous: bool) -> AlgorithmChoic
     }
 }
 
-/// Convenience: classify and select in one call with default thresholds.
-pub fn select_for_kernel(kernel: &KernelIntensity, homogeneous: bool) -> AlgorithmChoice {
-    select_algorithm(classify(kernel, &ClassThresholds::default()), homogeneous)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,19 +45,9 @@ impl KernelIntensity {
         self.flops_per_iter / (self.mem_elems_per_iter * self.elem_bytes)
     }
 
-    /// Bytes of memory traffic per FLOP.
-    pub fn mem_bytes_per_flop(&self) -> f64 {
-        self.mem_elems_per_iter * self.elem_bytes / self.flops_per_iter
-    }
-
     /// Bytes of bus traffic per iteration.
     pub fn data_bytes_per_iter(&self) -> f64 {
         self.data_elems_per_iter * self.elem_bytes
-    }
-
-    /// Bytes of memory traffic per iteration.
-    pub fn mem_bytes_per_iter(&self) -> f64 {
-        self.mem_elems_per_iter * self.elem_bytes
     }
 }
 

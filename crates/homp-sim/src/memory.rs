@@ -78,13 +78,12 @@ pub struct MemorySpace {
     peak: u64,
     next_id: u64,
     live: HashMap<u64, u64>,
-    total_allocs: u64,
 }
 
 impl MemorySpace {
     /// A space holding at most `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
-        Self { capacity, in_use: 0, peak: 0, next_id: 0, live: HashMap::new(), total_allocs: 0 }
+        Self { capacity, in_use: 0, peak: 0, next_id: 0, live: HashMap::new() }
     }
 
     /// Allocate `bytes`.
@@ -98,7 +97,6 @@ impl MemorySpace {
         self.live.insert(id, bytes);
         self.in_use += bytes;
         self.peak = self.peak.max(self.in_use);
-        self.total_allocs += 1;
         Ok(AllocId(id))
     }
 
@@ -151,11 +149,6 @@ impl MemorySpace {
     /// Number of live allocations.
     pub fn live_allocations(&self) -> usize {
         self.live.len()
-    }
-
-    /// Total allocations ever made.
-    pub fn total_allocations(&self) -> u64 {
-        self.total_allocs
     }
 }
 
