@@ -10,7 +10,7 @@ use common::CoverageKernel;
 use homp_core::dist::Distribution;
 use homp_core::history::HistoryDb;
 use homp_core::{
-    Algorithm, OffloadRegion, OffloadReport, PredictionSource, Runtime, RuntimeConfig,
+    Algorithm, OffloadError, OffloadRegion, OffloadReport, PredictionSource, Runtime, RuntimeConfig,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_sim::{DeviceId, Machine, SimTime, TraceLevel};
@@ -190,5 +190,39 @@ fn an_offload_at_t_reports_only_its_own_ops() {
         for e in trace.events() {
             assert!(!labels.contains(&trace.label(e.label)), "after {name}: {e:?}");
         }
+    }
+}
+
+/// An offload the capacity check refuses leaves the engine as it was:
+/// an offload dispatched `.at(t)` after it still queues behind the work
+/// already in flight, exactly as it does without the refused call. No
+/// K40 holds two 2 % chunks of the refused loop's arrays, so a
+/// chunk-scheduled offload is refused as well as a static one.
+#[test]
+fn a_refused_offload_leaves_work_in_flight() {
+    let n = 80_000u64;
+    let machine = Machine::four_k40();
+    let r = region(n, &machine, Algorithm::Block);
+    let huge = 1u64 << 36;
+    let sequence = |refused: Option<Algorithm>| {
+        let mut rt = RuntimeConfig::new().seed(42).build(machine.clone());
+        rt.offload(&r, &mut CoverageKernel::new(n)).at(SimTime::ZERO).run().unwrap();
+        if let Some(alg) = refused {
+            // Refused before dispatch, so the kernel never runs.
+            let err = rt
+                .offload(&region(huge, &machine, alg), &mut CoverageKernel::new(0))
+                .run()
+                .unwrap_err();
+            assert!(matches!(err, OffloadError::OutOfDeviceMemory { .. }), "{alg}: {err}");
+        }
+        let at = SimTime::from_secs(41.6e-6);
+        rt.offload(&r, &mut CoverageKernel::new(n)).at(at).run().unwrap()
+    };
+    let alone = sequence(None);
+    for alg in [Algorithm::Block, Algorithm::Dynamic { chunk_pct: 2.0 }] {
+        let after = sequence(Some(alg));
+        assert_eq!(after.makespan, alone.makespan, "after a refused {alg}");
+        assert_eq!(after.completed_at, alone.completed_at, "after a refused {alg}");
+        assert_eq!(after.trace.to_csv(), alone.trace.to_csv(), "after a refused {alg}");
     }
 }
