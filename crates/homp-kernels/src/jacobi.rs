@@ -658,6 +658,18 @@ mod tests {
         assert!(stats.h2d_elided_bytes > 0);
     }
 
+    /// MODEL_2 gives the full node's two MICs no update rows on this
+    /// grid, so they keep none of `u` and the close flushes it once.
+    #[test]
+    fn devices_without_update_rows_flush_nothing() {
+        let (n, m) = (512, 512);
+        let mut j = Jacobi::new(n, m);
+        let mut rt = Runtime::new(Machine::full_node(), 42);
+        let alg = Algorithm::Model2 { cutoff: None };
+        let report = j.run_distributed(&mut rt, (0..7).collect(), alg, 4, 0.0);
+        assert_eq!(report.flushed_bytes, (n * m * 8) as u64, "u flushed exactly once");
+    }
+
     #[test]
     fn halo_free_on_host_only_machine() {
         let mut dist = Jacobi::new(32, 32);
