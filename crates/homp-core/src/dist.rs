@@ -43,6 +43,22 @@ impl Distribution {
         Self { total, ranges, replicated: false }
     }
 
+    /// Contiguous blocks of the given per-device `counts`, laid out in
+    /// device order over `[0, sum)`: the split a static scheduling
+    /// algorithm produces. A zero count is an empty block at its
+    /// neighbour's boundary.
+    pub fn from_counts(counts: &[u64]) -> Self {
+        let mut start = 0u64;
+        let ranges = counts
+            .iter()
+            .map(|&c| {
+                start += c;
+                Range::new(start - c, start)
+            })
+            .collect();
+        Self { total: start, ranges, replicated: false }
+    }
+
     /// The extent of the distributed space.
     pub fn total(&self) -> u64 {
         self.total
@@ -127,6 +143,16 @@ mod tests {
     }
 
     #[test]
+    fn from_counts_lays_blocks_out_in_device_order() {
+        let d = Distribution::from_counts(&[0, 7, 0, 3, 0]);
+        assert_eq!(d.total(), 10);
+        assert_eq!(d.counts(), vec![0, 7, 0, 3, 0]);
+        assert_eq!(d.range(1), Range::new(0, 7));
+        assert_eq!(d.range(2), Range::new(7, 7));
+        assert!(d.is_valid());
+    }
+
+    #[test]
     fn scaled_distribution() {
         let d = Distribution::block(10, 2).scaled(3);
         assert_eq!(d.total(), 30);
@@ -145,6 +171,7 @@ mod tests {
             let mx = *c.iter().max().unwrap();
             let mn = *c.iter().min().unwrap();
             prop_assert!(mx - mn <= 1);
+            prop_assert_eq!(Distribution::from_counts(&c), d);
         }
     }
 }

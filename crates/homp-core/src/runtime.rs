@@ -18,6 +18,7 @@
 //! study.
 
 use crate::data_env::DataEnv;
+use crate::dist::Distribution;
 use crate::history::HistoryDb;
 use crate::map::{ArrayCost, ArrayCostKind, DataPlan, PlanError};
 use crate::offload::OffloadRegion;
@@ -117,6 +118,15 @@ pub enum OffloadError {
         /// The rejected value.
         value: f64,
     },
+    /// [`OffloadBuilder::align`] was given a split over this many slots,
+    /// not one per device of the region.
+    AlignSlots(usize),
+    /// [`OffloadBuilder::align`] was given a split of this many
+    /// iterations, not the region's trip count.
+    AlignTripCount(u64),
+    /// [`OffloadBuilder::align`] was given a replicated (FULL) split,
+    /// which would run every iteration on every slot.
+    AlignReplicated,
 }
 
 impl From<PlanError> for OffloadError {
@@ -147,6 +157,13 @@ impl std::fmt::Display for OffloadError {
                 let range = if *param == "min_assist_pct" { "[0, 100]" } else { "(0, 100]" };
                 write!(f, "{param} = {value}% is outside {range}")
             }
+            OffloadError::AlignSlots(s) => {
+                write!(f, "the aligned split has {s} slots, not one per device of the region")
+            }
+            OffloadError::AlignTripCount(t) => {
+                write!(f, "the aligned split covers {t} iterations, not the loop's trip count")
+            }
+            OffloadError::AlignReplicated => write!(f, "the aligned split is replicated (FULL)"),
         }
     }
 }
@@ -1049,7 +1066,7 @@ impl Runtime {
         region: &'r OffloadRegion,
         kernel: &'k mut dyn LoopKernel,
     ) -> OffloadBuilder<'r, 'k> {
-        OffloadBuilder { runtime: self, region, kernel, at: None, history: None }
+        OffloadBuilder { runtime: self, region, kernel, at: None, history: None, align: None }
     }
 
     /// A region must name at least one device, and only devices the
@@ -1078,21 +1095,89 @@ impl Runtime {
         }
     }
 
-    /// Run one region: plan its split, reset the engine unless it
-    /// dispatches `at` an instant on the calendars as they stand, run
-    /// the split's scheduler path and, with a `history`, learn from the
-    /// run.
+    /// The split a `.run()` of `region` would use for a kernel of
+    /// `intensity`, after the same region checks: BLOCK, MODEL_1, MODEL_2
+    /// or WORK_ASSIST's initial shares, AUTO resolved and CUTOFF applied;
+    /// `None` for chunk-scheduled and profiling algorithms. Another loop
+    /// runs on it with [`OffloadBuilder::align`] (Fig. 3's `ALIGN(loop1)`).
+    pub fn distribution(
+        &self,
+        region: &OffloadRegion,
+        intensity: &KernelIntensity,
+    ) -> Result<Option<Distribution>, OffloadError> {
+        self.check_region(region)?;
+        let (_, block, model) = self.plan_split(region, intensity, None);
+        Ok(block.or(model.map(|(mp, _)| mp.counts)).map(|c| Distribution::from_counts(&c)))
+    }
+
+    /// The algorithm a run of `region` uses (AUTO resolved, or as written
+    /// under learned `rates`) and its static split: BLOCK's even counts,
+    /// or a model plan (CUTOFF decides which slots it keeps) with the
+    /// source of its predictions. Learned shares come from the throughput
+    /// planner (stage 2 of the profiling algorithms) over `rates`.
+    fn plan_split(
+        &self,
+        region: &OffloadRegion,
+        intensity: &KernelIntensity,
+        rates: Option<&[f64]>,
+    ) -> (Algorithm, Option<Vec<u64>>, Option<(ModelPlan, PredictionSource)>) {
+        let (slots, trip) = (&region.devices[..], region.trip_count);
+        let algorithm = match rates {
+            Some(_) => region.algorithm,
+            None => self.resolve_auto(region.algorithm, intensity, slots),
+        };
+        let (block, model) = match (rates, algorithm) {
+            (Some(r), _) => (
+                None,
+                Some((throughput_plan(r, trip, algorithm.cutoff()), PredictionSource::History)),
+            ),
+            (None, Algorithm::Block) => (Some(block::block_counts(trip, slots.len())), None),
+            (None, Algorithm::Model1 { cutoff }) => (
+                None,
+                Some((
+                    model1_plan(&self.slot_params(slots), intensity, trip, cutoff),
+                    PredictionSource::Model1,
+                )),
+            ),
+            (None, Algorithm::Model2 { cutoff } | Algorithm::WorkAssist { cutoff, .. }) => (
+                None,
+                Some((
+                    model2_plan(&self.slot_params(slots), intensity, trip, cutoff),
+                    PredictionSource::Model2,
+                )),
+            ),
+            _ => (None, None),
+        };
+        (algorithm, block, model)
+    }
+
+    /// The constants the models see for each of `slots`, in slot order.
+    fn slot_params(&self, slots: &[DeviceId]) -> Vec<DeviceParams> {
+        slots.iter().map(|&d| self.params[d as usize]).collect()
+    }
+
+    /// Run one region: plan its split, or take the `align`ed one, reset
+    /// the engine unless it dispatches `at` an instant on the calendars
+    /// as they stand, run the split's scheduler path and, with a
+    /// `history`, learn from the run.
     pub(crate) fn offload_inner(
         &mut self,
         region: &OffloadRegion,
         kernel: &mut dyn LoopKernel,
         at: Option<SimTime>,
         history: Option<&mut HistoryDb>,
+        align: Option<&Distribution>,
     ) -> Result<OffloadReport, OffloadError> {
         self.check_region(region)?;
         let slots: &[DeviceId] = &region.devices;
         let n = slots.len();
         let trip = region.trip_count;
+        match align {
+            Some(a) if a.n_devices() != n => return Err(OffloadError::AlignSlots(a.n_devices())),
+            Some(a) if a.total() != trip => return Err(OffloadError::AlignTripCount(a.total())),
+            Some(a) if a.is_replicated() => return Err(OffloadError::AlignReplicated),
+            _ => {}
+        }
         let plan = DataPlan::new(region, n)?;
         let intensity = kernel.intensity();
         // Rates learned by earlier offloads, once the history covers
@@ -1106,38 +1191,9 @@ impl Runtime {
                     .map(|&d| db.predicted_rate(&region.name, d, guess).unwrap_or(0.0))
                     .collect()
             });
-        let algorithm = match rates {
-            Some(_) => region.algorithm,
-            None => self.resolve_auto(region.algorithm, &intensity, slots),
-        };
-        let slot_params: Vec<DeviceParams> =
-            slots.iter().map(|&d| self.params[d as usize]).collect();
-
-        // Static splits: BLOCK's even counts, or a model plan (CUTOFF
-        // decides which slots it keeps) and the source of its
-        // predictions. Learned shares come from the throughput planner
-        // (stage 2 of the profiling algorithms) over the learned rates.
-        let (block, model) = match (&rates, algorithm) {
-            (Some(r), _) => (
-                None,
-                Some((throughput_plan(r, trip, algorithm.cutoff()), PredictionSource::History)),
-            ),
-            (None, Algorithm::Block) => (Some(block::block_counts(trip, n)), None),
-            (None, Algorithm::Model1 { cutoff }) => (
-                None,
-                Some((
-                    model1_plan(&slot_params, &intensity, trip, cutoff),
-                    PredictionSource::Model1,
-                )),
-            ),
-            (None, Algorithm::Model2 { cutoff } | Algorithm::WorkAssist { cutoff, .. }) => (
-                None,
-                Some((
-                    model2_plan(&slot_params, &intensity, trip, cutoff),
-                    PredictionSource::Model2,
-                )),
-            ),
-            _ => (None, None),
+        let (algorithm, block, model) = match align {
+            Some(split) => (region.algorithm, Some(split.counts()), None),
+            None => self.plan_split(region, &intensity, rates.as_deref()),
         };
         let mp = model.as_ref().map(|(mp, _)| mp);
         let counts = block.as_deref().or(mp.map(|mp| &mp.counts[..]));
@@ -1171,8 +1227,10 @@ impl Runtime {
             _ => None,
         };
         let result = match (counts, algorithm) {
-            (Some(counts), Algorithm::WorkAssist { min_assist_pct, .. }) if rates.is_none() => self
-                .run_assisted(
+            (Some(counts), Algorithm::WorkAssist { min_assist_pct, .. })
+                if rates.is_none() && align.is_none() =>
+            {
+                self.run_assisted(
                     region,
                     kernel,
                     &plan,
@@ -1182,7 +1240,8 @@ impl Runtime {
                     algorithm,
                     min_assist_pct,
                     pred,
-                ),
+                )
+            }
             (Some(counts), _) => {
                 self.run_static(region, kernel, &plan, counts, base, algorithm, mp, pred)
             }
@@ -1199,7 +1258,8 @@ impl Runtime {
                 self.run_profiled(region, kernel, &plan, &samples, cutoff, base, algorithm)
             }
             (None, Algorithm::ProfileModel { sample_pct, cutoff }) => {
-                let samples = model_sample_counts(&slot_params, &intensity, trip, sample_pct);
+                let params = self.slot_params(slots);
+                let samples = model_sample_counts(&params, &intensity, trip, sample_pct);
                 self.run_profiled(region, kernel, &plan, &samples, cutoff, base, algorithm)
             }
             (None, _) => unreachable!("AUTO is resolved and static splits are planned above"),
@@ -2163,7 +2223,7 @@ impl Runtime {
         let mut stages = Vec::with_capacity(pipeline.stages.len());
         for (i, region) in pipeline.stages.iter().enumerate() {
             let mut stage_kernel = StageKernel { inner: kernel, stage: i };
-            stages.push(self.offload_inner(region, &mut stage_kernel, None, None)?);
+            stages.push(self.offload_inner(region, &mut stage_kernel, None, None, None)?);
         }
         let barrier_sum = stages.iter().fold(SimSpan::ZERO, |acc, s| acc + s.makespan);
         // Boundary idle: from the producer's last kernel completion,
@@ -2536,6 +2596,7 @@ impl Runtime {
 /// | `.run()` | classic offload: reset engine, map all data |
 /// | `.at(t).run()` | dispatch at instant `t` on un-reset calendars |
 /// | `.history(db)` | either, with shares learned from `db` |
+/// | `.align(&split)` | either, on a given static split |
 ///
 /// Either run elides transfers for data an open `target data` region
 /// ([`Runtime::data_region_begin`]) already holds on-device.
@@ -2549,6 +2610,8 @@ pub struct OffloadBuilder<'r, 'k> {
     at: Option<SimTime>,
     /// Measured rates to split by and to learn into.
     history: Option<&'r mut HistoryDb>,
+    /// A split to run on in place of the algorithm's own.
+    align: Option<&'r Distribution>,
 }
 
 impl<'r> OffloadBuilder<'r, '_> {
@@ -2594,10 +2657,20 @@ impl<'r> OffloadBuilder<'r, '_> {
         self
     }
 
+    /// Run the loop as one static share per slot of `split`, such as
+    /// [`Runtime::distribution`] of the loop it aligns with (Fig. 3's
+    /// `ALIGN(loop1)`); the report keeps the region's algorithm. A split
+    /// over another slot or iteration count than the region's, or a
+    /// replicated (FULL) one, is a typed error before the engine is touched.
+    pub fn align(mut self, split: &'r Distribution) -> Self {
+        self.align = Some(split);
+        self
+    }
+
     /// Execute the offload.
     pub fn run(self) -> Result<OffloadReport, OffloadError> {
-        let OffloadBuilder { runtime, region, kernel, at, history } = self;
-        runtime.offload_inner(region, kernel, at, history)
+        let OffloadBuilder { runtime, region, kernel, at, history, align } = self;
+        runtime.offload_inner(region, kernel, at, history, align)
     }
 }
 

@@ -4,8 +4,10 @@
 //! every algorithm (the extended suite plus AUTO), a CUTOFF ratio
 //! outside `[0, 1)` under every algorithm that takes one, a scheduling
 //! percentage outside its range under every algorithm that takes one,
-//! and mapped sizes whose byte counts overflow `u64`.
+//! mapped sizes whose byte counts overflow `u64`, and a split handed to
+//! `.align` that does not fit the region.
 
+use homp_core::dist::Distribution;
 use homp_core::history::HistoryDb;
 use homp_core::testing::{assert_decisions_partition, CoverageKernel};
 use homp_core::{
@@ -438,5 +440,64 @@ fn a_zero_trip_directive_pair_compiles_and_runs_empty() {
         let report = rt.offload(&reg, &mut k).run().unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert_eq!(report.counts, [0; 4], "{kind}");
         assert_eq!(report.faults.host_iters, 0, "{kind}");
+    }
+}
+
+/// `.align` runs a loop on a split with one range per device of the
+/// region that partitions its trip count. A split over another number of
+/// slots, over another trip count, or replicated (FULL) is a typed error
+/// under `.run()` and `.at(t)`, before the engine is rewound or runs an
+/// op: nothing executes, and an offload dispatched `.at(t)` afterwards
+/// queues behind the work in flight exactly as it does without the
+/// refused calls. A split that fits runs its counts under every
+/// algorithm, each iteration once.
+#[test]
+fn a_split_that_does_not_fit_the_region_is_a_typed_error() {
+    let n = 1_000u64;
+    let bad = [
+        (Distribution::block(n, 3), OffloadError::AlignSlots(3)),
+        (Distribution::from_counts(&[0, 600, 0, 400, 0]), OffloadError::AlignSlots(5)),
+        (Distribution::block(n + 1, 4), OffloadError::AlignTripCount(n + 1)),
+        (Distribution::from_counts(&[0, 600, 0, 399]), OffloadError::AlignTripCount(n - 1)),
+        (Distribution::full(n, 4), OffloadError::AlignReplicated),
+    ];
+    let display = |i: usize| bad[i].1.to_string();
+    assert_eq!(display(0), "the aligned split has 3 slots, not one per device of the region");
+    assert_eq!(display(2), "the aligned split covers 1001 iterations, not the loop's trip count");
+    assert_eq!(display(4), "the aligned split is replicated (FULL)");
+    let fits = Distribution::from_counts(&[0, 600, 0, 400]);
+    let at = SimTime::from_secs(41.6e-6);
+    for alg in algorithms() {
+        let r = region(n, vec![0, 1, 2, 3], alg);
+        let sequence = |refused: Option<&(Distribution, OffloadError)>| {
+            let mut rt = Runtime::new(Machine::four_k40(), 42);
+            rt.offload(&r, &mut CoverageKernel::new(n)).at(SimTime::ZERO).run().unwrap();
+            if let Some((split, err)) = refused {
+                let (ops, mut k) = (rt.sim_ops(), CoverageKernel::new(n));
+                let label = format!("{alg} {:?}", split.counts());
+                assert_eq!(rt.offload(&r, &mut k).align(split).run().unwrap_err(), *err, "{label}");
+                let late = rt.offload(&r, &mut k).align(split).at(at).run().unwrap_err();
+                assert_eq!(late, *err, "{label} at(t)");
+                assert_eq!(rt.sim_ops(), ops, "{label}: no engine op");
+                assert!(k.hits.iter().all(|&h| h == 0), "{label}: nothing may execute");
+            }
+            rt.offload(&r, &mut CoverageKernel::new(n)).at(at).run().unwrap()
+        };
+        let alone = sequence(None);
+        for case in &bad {
+            let after = sequence(Some(case));
+            assert_eq!(after.completed_at, alone.completed_at, "{alg} after {:?}", case.1);
+            assert_eq!(after.trace.to_csv(), alone.trace.to_csv(), "{alg} after {:?}", case.1);
+        }
+        let mut rt = Runtime::new(Machine::four_k40(), 42);
+        let mut k = CoverageKernel::new(n);
+        let report = rt.offload(&r, &mut k).align(&fits).run().unwrap();
+        k.assert_exactly_once(&alg.key());
+        assert_eq!(report.counts, fits.counts(), "{alg}");
+        assert_eq!(report.algorithm, alg, "{alg}: the region's algorithm as written");
+        let mut k = CoverageKernel::new(n);
+        let report = rt.offload(&r, &mut k).align(&fits).at(at).run().unwrap();
+        k.assert_exactly_once(&format!("{alg} at(t)"));
+        assert_eq!(report.counts, fits.counts(), "{alg} at(t)");
     }
 }
