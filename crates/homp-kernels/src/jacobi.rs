@@ -2,13 +2,17 @@
 //! combining data regions, alignment, halo exchange and reductions.
 //!
 //! Each sweep: (1) a collapsed copy loop `uold = u` aligned with
-//! `loop1`, (2) a halo exchange on `uold`, (3) the update loop with a
-//! `reduction(+:error)`, distributed by the chosen algorithm. Data is
-//! resident across sweeps: [`Jacobi::run_distributed`] opens a
-//! `target data` region over `u`, `uold` and `f`, so after the first
-//! sweep the runtime elides every host↔device array transfer and only
-//! the halo rows move. [`Jacobi::run_per_offload`] is the region-free
-//! baseline that pays the full mapping cost on every offload.
+//! `loop1`, (2) a halo exchange on `uold`, (3) the update loop `loop1`
+//! with a `reduction(+:error)`, distributed by the chosen algorithm.
+//! The copy loop runs on loop1's split and the exchange is priced for
+//! it, so every row of `u` stays on the device that updates it; an
+//! algorithm that schedules chunks or profiles has no split before it
+//! runs, and then both use BLOCK. Data is resident across sweeps:
+//! [`Jacobi::run_distributed`] opens a `target data` region over `u`,
+//! `uold` and `f`, so for a static algorithm the runtime elides every
+//! host↔device array transfer after the first sweep and only the halo
+//! rows move. [`Jacobi::run_per_offload`] is the region-free baseline
+//! that pays the full mapping cost on every offload.
 
 use homp_core::dist::Distribution;
 use homp_core::reduction::Reducer;
@@ -347,9 +351,9 @@ impl Jacobi {
         let reducer = Reducer::new(ReductionOp::Sum);
         let region = self.update_region(slots.to_vec(), algorithm);
         let update_intensity = self.update_intensity();
-        // The copy loop `uold = u` is aligned with loop1 → it reuses the
-        // update loop's distribution, so it runs as BLOCK over the same
-        // devices (static alignment).
+        // The copy loop `uold = u` is aligned with loop1, so it runs on
+        // loop1's split and the halo exchange on uold is priced for it.
+        let loop1 = Self::loop1_split(rt, &region, &update_intensity);
         let copy_intensity = self.copy_intensity();
         let copy_region = OffloadRegion::builder("jacobi-copy")
             .loop_label("loop1")
@@ -377,8 +381,6 @@ impl Jacobi {
                 Some(1),
             )
             .build();
-        // Halo exchanges on uold are priced for the block layout.
-        let dist = Distribution::block(n, slots.len());
 
         let mut total = SimSpan::ZERO;
         let mut halo_total = SimSpan::ZERO;
@@ -393,8 +395,11 @@ impl Jacobi {
                 let mut copy_kernel = homp_core::FnKernel::new(copy_intensity, |r: Range| {
                     me.borrow_mut().copy_rows(r);
                 });
-                let rep =
-                    rt.offload(&copy_region, &mut copy_kernel).run().expect("copy loop offload");
+                let rep = rt
+                    .offload(&copy_region, &mut copy_kernel)
+                    .align(&loop1)
+                    .run()
+                    .expect("copy loop offload");
                 total += rep.makespan;
                 let (hi, di) = offload_bytes(&rep);
                 h2d += hi;
@@ -402,7 +407,7 @@ impl Jacobi {
             }
 
             // (2) halo exchange on uold.
-            let span = rt.exchange_halo(slots, &dist, 1, m * 8);
+            let span = rt.exchange_halo(slots, &loop1, 1, m * 8);
             halo_total += span;
             total += span;
 
@@ -425,6 +430,19 @@ impl Jacobi {
             k += 1;
         }
         SweepOutcome { iterations: k, error, total, halo: halo_total, h2d, d2h }
+    }
+
+    /// The split loop1 runs on: the one a `.run()` of the update
+    /// `region` plans, or BLOCK when its algorithm schedules chunks or
+    /// profiles and so has no split before it runs.
+    fn loop1_split(
+        rt: &Runtime,
+        region: &OffloadRegion,
+        intensity: &KernelIntensity,
+    ) -> Distribution {
+        rt.distribution(region, intensity)
+            .expect("plan the update loop")
+            .unwrap_or_else(|| Distribution::block(region.trip_count, region.devices.len()))
     }
 }
 
@@ -668,6 +686,64 @@ mod tests {
         let alg = Algorithm::Model2 { cutoff: None };
         let report = j.run_distributed(&mut rt, (0..7).collect(), alg, 4, 0.0);
         assert_eq!(report.flushed_bytes, (n * m * 8) as u64, "u flushed exactly once");
+    }
+
+    /// Fig. 3's copy loop runs on loop1's split. For every static
+    /// algorithm on the full node at 512², the split the copy loop and
+    /// the halo exchange use is the one an update offload runs, so a
+    /// device loop1 gives no rows (a MIC under MODEL_2) copies none and
+    /// exchanges nothing; no row of `u` moves after the first sweep, so
+    /// four sweeps upload exactly what one does and nothing is
+    /// redistributed; and `u` is bitwise the sequential solve's.
+    /// SCHED_DYNAMIC has no split before it runs and keeps BLOCK.
+    #[test]
+    fn the_copy_loop_runs_on_loop1s_split() {
+        let (n, m) = (512, 512);
+        let devices: Vec<DeviceId> = (0..7).collect();
+        let solve = |alg, sweeps| {
+            let mut j = Jacobi::new(n, m);
+            let mut rt = Runtime::new(Machine::full_node(), 42);
+            let report = j.run_distributed(&mut rt, devices.clone(), alg, sweeps, 0.0);
+            (j.u, report, rt.transfer_stats().redistributed_bytes)
+        };
+        // One exchange on `split`, priced as a sweep prices it.
+        let exchange = |split: &Distribution| {
+            Runtime::new(Machine::full_node(), 42).exchange_halo(&devices, split, 1, m as u64 * 8)
+        };
+        let mut seq = Jacobi::new(n, m);
+        seq.run_sequential(4, 0.0);
+        let intensity = seq.update_intensity();
+        let split_of = |alg| {
+            let region = seq.update_region(devices.clone(), alg);
+            let rt = Runtime::new(Machine::full_node(), 42);
+            (Jacobi::loop1_split(&rt, &region, &intensity), region)
+        };
+        for alg in [
+            Algorithm::Block,
+            Algorithm::Model1 { cutoff: None },
+            Algorithm::Model2 { cutoff: None },
+            Algorithm::Model2 { cutoff: Some(0.15) },
+        ] {
+            let (split, region) = split_of(alg);
+            let mut update = homp_core::FnKernel::new(intensity, |_r: Range| {});
+            let mut rt = Runtime::new(Machine::full_node(), 42);
+            let report = rt.offload(&region, &mut update).run().expect("update offload");
+            assert_eq!(split, Distribution::from_counts(&report.counts), "{alg}");
+            if alg == (Algorithm::Model2 { cutoff: None }) {
+                assert_eq!(split.counts()[5..], [0, 0], "MODEL_2 gives the MICs no rows");
+            }
+
+            let (_, one, _) = solve(alg, 1);
+            assert_eq!(one.halo_time, exchange(&split), "{alg}: halo priced on loop1's split");
+            let (u, four, redistributed) = solve(alg, 4);
+            assert_eq!(four.h2d_bytes, one.h2d_bytes, "{alg}: only the first sweep uploads");
+            assert_eq!(redistributed, 0, "{alg}");
+            assert_bitwise(&u, &seq.u, &format!("{alg} u"));
+        }
+        let alg = Algorithm::Dynamic { chunk_pct: 2.0 };
+        let block = Distribution::block(n as u64, 7);
+        assert_eq!(split_of(alg).0, block);
+        assert_eq!(solve(alg, 1).1.halo_time, exchange(&block), "{alg}");
     }
 
     #[test]
