@@ -23,16 +23,17 @@ pub struct HaloTransfer {
     pub rows: Range,
 }
 
-/// The transfers a halo exchange needs for a 1-D block distribution with
-/// ghost width `w`: each device sends its first/last `w` rows to the
-/// previous/next device owning a non-empty block.
+/// The transfers a halo exchange needs for a contiguous 1-D split (BLOCK,
+/// or a static scheduler's counts) with ghost width `w`: each device
+/// sends its first/last `w` rows to the previous/next device owning a
+/// non-empty block.
 pub fn plan_exchange(dist: &Distribution, w: u64) -> Vec<HaloTransfer> {
     let mut out = Vec::new();
     if w == 0 {
         return out;
     }
-    // Owners with non-empty blocks, in space order (block dists are laid
-    // out contiguously in slot order, but skip empty slots).
+    // Owners with non-empty blocks, in space order (contiguous splits are
+    // laid out in slot order, but skip empty slots wherever they sit).
     let owners: Vec<usize> = (0..dist.n_devices()).filter(|&s| !dist.range(s).is_empty()).collect();
     for pair in owners.windows(2) {
         let (a, b) = (pair[0], pair[1]);
@@ -141,6 +142,21 @@ mod tests {
         assert!(!e.trace().is_empty());
     }
 
+    /// MODEL_2's split of the 512² Jacobi grid on the full node gives the
+    /// two MICs (devices 5 and 6) no rows, so the exchange leaves them
+    /// alone; the host socket and the four K40s exchange as neighbours.
+    #[test]
+    fn simulated_exchange_skips_devices_without_rows() {
+        let mut e = Engine::noiseless(Machine::full_node());
+        let dist = Distribution::from_counts(&[310, 51, 51, 50, 50, 0, 0]);
+        let t = plan_exchange(&dist, 1);
+        assert_eq!(t.len(), 8, "two sends per adjacent pair of the five owners");
+        let end = simulate_exchange(&mut e, &[0, 1, 2, 3, 4, 5, 6], &t, 512 * 8, SimTime::ZERO);
+        assert!(end > SimTime::ZERO);
+        assert!(!e.trace().is_empty());
+        assert!(e.trace().events().iter().all(|ev| ev.device < 5), "no event on a MIC");
+    }
+
     #[test]
     fn simulated_exchange_free_between_host_devices() {
         let mut e = Engine::noiseless(Machine::two_cpus_two_mics());
@@ -158,20 +174,25 @@ mod property_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A BLOCK split, or a contiguous split whose empty slots may lead,
+    /// sit between owners or trail, as a model plan's do.
+    fn any_split() -> impl Strategy<Value = Distribution> {
+        prop_oneof![
+            (1u64..100_000, 1usize..9).prop_map(|(total, n)| Distribution::block(total, n)),
+            proptest::collection::vec(prop_oneof![Just(0u64), 1u64..20_000], 1..9)
+                .prop_map(|counts| Distribution::from_counts(&counts)),
+        ]
+    }
+
     proptest! {
-        /// For any block distribution and width: senders own what they
-        /// send, every non-empty adjacent pair exchanges in both
-        /// directions, and no transfer is empty.
+        /// For any split and width: senders own what they send, every
+        /// adjacent pair of owners exchanges in both directions, and no
+        /// transfer is empty.
         #[test]
-        fn exchange_is_symmetric_and_owned(
-            total in 1u64..100_000,
-            n_dev in 1usize..9,
-            w in 1u64..8,
-        ) {
-            let dist = Distribution::block(total, n_dev);
+        fn exchange_is_symmetric_and_owned(dist in any_split(), w in 1u64..8) {
             let transfers = plan_exchange(&dist, w);
             let owners: Vec<usize> =
-                (0..n_dev).filter(|&s| !dist.range(s).is_empty()).collect();
+                (0..dist.n_devices()).filter(|&s| !dist.range(s).is_empty()).collect();
             prop_assert_eq!(
                 transfers.len(),
                 owners.len().saturating_sub(1) * 2,
@@ -200,15 +221,10 @@ mod property_tests {
         /// Sent rows are exactly the boundary rows the receiver's ghost
         /// region needs: within `w` of the receiver's block.
         #[test]
-        fn sent_rows_border_the_receiver(
-            total in 2u64..50_000,
-            n_dev in 2usize..9,
-            w in 1u64..5,
-        ) {
-            let dist = Distribution::block(total, n_dev);
+        fn sent_rows_border_the_receiver(dist in any_split(), w in 1u64..5) {
             for t in plan_exchange(&dist, w) {
                 let recv = dist.range(t.to_slot);
-                let ghost = recv.dilate(w, total);
+                let ghost = recv.dilate(w, dist.total());
                 prop_assert_eq!(
                     t.rows.intersect(&ghost),
                     t.rows,
