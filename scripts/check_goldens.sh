@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Diff every seed-42 golden in results/golden/ against a fresh run of its
-# bench binary, at HOMP_BENCH_JOBS=1 and 4, and require each binary's
-# stdout at 4 jobs to equal its stdout at 1. This is the CI determinism
-# check; run it locally from anywhere in the repository:
+# Diff every golden in results/golden/ against a fresh run of its bench
+# binary, at HOMP_BENCH_JOBS=1 and 4, and require each binary's stdout at
+# 4 jobs to equal its stdout at 1. The figure binaries run at seed 42;
+# the two ablations take no --seed and run at homp_bench::SEED. This is
+# the CI determinism check; run it locally from anywhere in the
+# repository:
 #
 #     scripts/check_goldens.sh
 #
@@ -46,11 +48,15 @@ for jobs in 1 4; do
     check serve_traffic results/serve_traffic.json "$golden/serve_traffic_seed42.json"
     "$bin/chaos_soak" --seed 42 >"$out/chaos_soak.$jobs.txt" 2>/dev/null
     check chaos_soak results/chaos_soak.json "$golden/chaos_soak_seed42.json"
+    for name in ablation_constants ablation_overlap; do
+        "$bin/$name" >"$out/$name.$jobs.txt" 2>/dev/null
+        check "$name" "results/$name.csv" "$golden/${name}_seed20170529.csv"
+    done
 done
 
 # The other binaries' stdout is the artifact checked above.
 jobs="4 vs 1"
-for name in fig5 fig9 serve_traffic chaos_soak; do
+for name in fig5 fig9 serve_traffic chaos_soak ablation_constants ablation_overlap; do
     check "$name stdout" "$out/$name.4.txt" "$out/$name.1.txt"
 done
 
