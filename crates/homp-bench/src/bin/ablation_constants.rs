@@ -4,12 +4,12 @@
 //! description ("use peak performance as guideline"), so predictions
 //! systematically overestimate devices whose sustained fraction is low —
 //! that misprediction is what CUTOFF corrects. Feeding the models
-//! *profiled* constants instead (our `Runtime::with_profiled_params`)
+//! *profiled* constants instead (our `RuntimeConfig::profiled_params`)
 //! removes most of the error, shrinking both the model-vs-best gap and
 //! CUTOFF's benefit.
 
 use homp_bench::{experiment, jobs, par_map, write_artifact, SEED};
-use homp_core::{Algorithm, Runtime};
+use homp_core::{Algorithm, Runtime, RuntimeConfig};
 use homp_kernels::{KernelSpec, PhantomKernel};
 use homp_sim::Machine;
 use std::fmt::Write as _;
@@ -43,7 +43,7 @@ fn run() {
         .collect();
     let rows = par_map(&tasks, jobs(), |_i, &(spec, base)| {
         let mut ds = Runtime::new(machine.clone(), SEED);
-        let mut pf = Runtime::with_profiled_params(machine.clone(), SEED);
+        let mut pf = RuntimeConfig::new().seed(SEED).profiled_params().build(machine.clone());
         let a = run_point(&mut ds, spec, base);
         let b = run_point(&mut ds, spec, base.with_cutoff(0.15));
         let c = run_point(&mut pf, spec, base);

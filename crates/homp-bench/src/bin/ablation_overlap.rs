@@ -7,14 +7,13 @@
 //! BLOCK on axpy while leaving compute-bound kernels mostly unchanged.
 
 use homp_bench::{experiment, jobs, par_map, write_artifact, SEED};
-use homp_core::{Algorithm, Runtime};
+use homp_core::{Algorithm, RuntimeConfig};
 use homp_kernels::{KernelSpec, PhantomKernel};
 use homp_sim::Machine;
 use std::fmt::Write as _;
 
 fn run_point(spec: KernelSpec, alg: Algorithm, overlap: bool) -> f64 {
-    let mut rt = Runtime::new(Machine::four_k40(), SEED);
-    rt.set_overlap(overlap);
+    let mut rt = RuntimeConfig::new().seed(SEED).overlap(overlap).build(Machine::four_k40());
     let region = spec.region(vec![0, 1, 2, 3], alg);
     let mut k = PhantomKernel::new(spec.intensity());
     rt.offload(&region, &mut k).run().unwrap().time_ms()

@@ -18,7 +18,7 @@
 //! golden file.
 
 use homp_bench::experiment;
-use homp_core::{Algorithm, Runtime};
+use homp_core::{Algorithm, RuntimeConfig};
 use homp_kernels::{KernelSpec, PhantomKernel};
 use homp_sim::Machine;
 
@@ -100,8 +100,7 @@ fn run() {
         }
     }
 
-    let mut rt = Runtime::new(machine.clone(), seed);
-    rt.set_decision_log(true);
+    let mut rt = RuntimeConfig::new().seed(seed).decision_log(true).build(machine.clone());
     let region = spec.region((0..machine.len() as u32).collect(), alg);
     let mut k = PhantomKernel::new(spec.intensity());
     let report = rt.offload(&region, &mut k).run().expect("offload");

@@ -4,8 +4,8 @@
 //! breakdowns (Fig. 6/7), max/min completion-time load-balance ratios
 //! (Table IV/V), and the gap between a model's *predicted* chunk cost
 //! and what the simulator actually charged. This module makes those
-//! observables first-class: when [`crate::Runtime::set_decision_log`] is
-//! on, every scheduler records one [`ChunkDecision`] per chunk it placed
+//! observables first-class: when [`crate::RuntimeConfig::decision_log`]
+//! is on, every scheduler records one [`ChunkDecision`] per chunk it placed
 //! (device, predicted cost and its source, realized cost), and
 //! [`RunReport`] folds the decisions together with trace-derived
 //! [`Metrics`] into a renderable report with prediction-error

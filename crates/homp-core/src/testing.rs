@@ -72,8 +72,9 @@ impl LoopKernel for CoverageKernel {
 /// devices must partition `[0, trip_count)` — no gap, no overlap —
 /// regardless of which scheduler stages (static, chunk, sample, stage2,
 /// assist, requeue, host) placed them. Health transitions log
-/// zero-length marker ranges and are skipped. Requires the decision log
-/// to have been enabled on the runtime.
+/// zero-length marker ranges and are skipped. Requires a runtime built
+/// with [`RuntimeConfig::decision_log`](crate::RuntimeConfig::decision_log)
+/// on.
 ///
 /// # Panics
 /// When the log is empty, the ranges do not partition the loop, or the
@@ -84,7 +85,7 @@ pub fn assert_decisions_partition(report: &OffloadReport, trip_count: u64, label
         report.decisions.iter().map(|d| d.range).filter(|r| !r.is_empty()).collect();
     assert!(
         !ranges.is_empty() || trip_count == 0,
-        "{label}: decision log is empty — was set_decision_log(true) called?"
+        "{label}: decision log is empty — was the runtime built with decision_log(true)?"
     );
     assert!(
         is_partition(&ranges, trip_count),

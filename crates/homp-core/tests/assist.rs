@@ -5,7 +5,7 @@
 mod common;
 
 use common::{assert_decisions_partition, CoverageKernel};
-use homp_core::{Algorithm, FaultConfig, OffloadRegion, OffloadReport, Runtime};
+use homp_core::{Algorithm, FaultConfig, OffloadRegion, OffloadReport, Runtime, RuntimeConfig};
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
 use homp_sim::{DeviceId, FaultPlan, Machine, OpKind, SimTime};
@@ -24,14 +24,18 @@ fn region_builder(n: u64, machine: &Machine, alg: Algorithm) -> homp_core::Offlo
         .map_1d("y", MapDir::ToFrom, n, 8, DistPolicy::Align { target: "loop".into(), ratio: 1 })
 }
 
-/// One offload of `r` with the decision log on, dispatched at `at` when
-/// given.
+/// `machine` at `seed` with `plan`'s faults and the decision log on.
+fn logged(machine: &Machine, seed: u64, plan: FaultPlan) -> Runtime {
+    let config = RuntimeConfig::new().seed(seed).faults(FaultConfig::new(plan));
+    config.decision_log(true).build(machine.clone())
+}
+
+/// One offload of `r`, dispatched at `at` when given.
 fn run(
     rt: &mut Runtime,
     r: &OffloadRegion,
     at: Option<SimTime>,
 ) -> (OffloadReport, CoverageKernel) {
-    rt.set_decision_log(true);
     let mut k = CoverageKernel::new(r.trip_count);
     let b = rt.offload(r, &mut k);
     let b = match at {
@@ -85,7 +89,7 @@ fn disabled_steals_give_byte_identical_model2_traces() {
     let machine = Machine::four_k40();
     let serialized = |alg| region_builder(n, &machine, alg).serialized_offload().build();
     let model2 = Algorithm::Model2 { cutoff: None };
-    let (healthy, _) = run(&mut Runtime::new(machine.clone(), 42), &serialized(model2), None);
+    let (healthy, _) = run(&mut logged(&machine, 42, FaultPlan::none()), &serialized(model2), None);
     let trace = &healthy.trace;
     let out = trace
         .events()
@@ -94,10 +98,8 @@ fn disabled_steals_give_byte_identical_model2_traces() {
         .expect("device 1 copies back");
     let mid_copy_back = (out.start.as_secs() + out.end.as_secs()) / 2.0;
     let plan = FaultPlan::new(1).with_dropout_at(1, mid_copy_back);
-    let runs = [Algorithm::WorkAssist { min_assist_pct: 100.0, cutoff: None }, model2].map(|alg| {
-        let faults = FaultConfig::new(plan.clone());
-        run(&mut Runtime::with_fault_config(machine.clone(), 42, faults), &serialized(alg), None)
-    });
+    let runs = [Algorithm::WorkAssist { min_assist_pct: 100.0, cutoff: None }, model2]
+        .map(|alg| run(&mut logged(&machine, 42, plan.clone()), &serialized(alg), None));
     let ctx = "serialized, device 1 dropped mid-copy-back";
     assert_eq!(runs[0].0.faults.dropouts, vec![1], "{ctx}");
     assert!(runs[0].0.decisions.iter().all(|d| d.stage != "assist"), "{ctx}: nothing fires");
@@ -112,7 +114,7 @@ fn disabled_steals_give_byte_identical_model2_traces() {
                 ]
                 .map(|alg| {
                     let r = region(n, &machine, alg);
-                    let mut rt = Runtime::new(machine.clone(), seed);
+                    let mut rt = logged(&machine, seed, FaultPlan::none());
                     let plain = run(&mut rt, &r, None);
                     rt.data_region_begin(&r);
                     let first = run(&mut rt, &r, None);
@@ -149,9 +151,7 @@ fn disabled_steals_give_byte_identical_model2_traces() {
                             if serialized {
                                 b = b.serialized_offload();
                             }
-                            let faults = FaultConfig::new(plan.clone());
-                            let mut rt = Runtime::with_fault_config(machine.clone(), 42, faults);
-                            run(&mut rt, &b.build(), at)
+                            run(&mut logged(&machine, 42, plan.clone()), &b.build(), at)
                         });
                         let ctx = format!(
                             "all dropped: machine={} n={n} serialized={serialized} at={at:?} \
@@ -192,8 +192,7 @@ fn stragglers_get_assisted_on_irregular_loops() {
     let n = 200_000u64;
     let machine = Machine::four_k40();
     let run_with = |alg: Algorithm| {
-        let mut rt = Runtime::new(machine.clone(), 42);
-        rt.set_decision_log(true);
+        let mut rt = logged(&machine, 42, FaultPlan::none());
         let mut k = CoverageKernel::with_intensity(n, COMPUTE_BOUND);
         let r = region_builder(n, &machine, alg).cost_profile(ramp).build();
         let report = rt.offload(&r, &mut k).run().unwrap();
@@ -238,8 +237,7 @@ fn region_d2h_stats_count_the_traced_copy_backs() {
         Algorithm::Model2 { cutoff: None },
         Algorithm::WorkAssist { min_assist_pct: 5.0, cutoff: None },
     ] {
-        let mut rt = Runtime::new(machine.clone(), 42);
-        rt.set_decision_log(true);
+        let mut rt = logged(&machine, 42, FaultPlan::none());
         let r = region_builder(n, &machine, alg).cost_profile(ramp).build();
         rt.data_region_begin(&r);
         let mut traced = 0;
@@ -294,8 +292,7 @@ fn dropped_device_tail_is_adopted_by_assisting_peers_exactly_once() {
     };
 
     let plan = FaultPlan::new(9).with_dropout_at(2, healthy * 0.5);
-    let mut rt = Runtime::with_fault_config(machine.clone(), 42, FaultConfig::new(plan));
-    rt.set_decision_log(true);
+    let mut rt = logged(&machine, 42, plan);
     let mut k = CoverageKernel::new(n);
     let report = rt.offload(&region(n, &machine, alg), &mut k).run().unwrap();
 

@@ -7,7 +7,7 @@
 mod common;
 
 use common::{assert_decisions_partition, CoverageKernel};
-use homp_core::{Algorithm, FaultConfig, OffloadRegion, Runtime};
+use homp_core::{Algorithm, FaultConfig, OffloadRegion, Runtime, RuntimeConfig};
 use homp_lang::{DistPolicy, MapDir};
 use homp_sim::{DeviceId, FaultPlan, Machine};
 use proptest::prelude::*;
@@ -23,11 +23,12 @@ fn region(n: u64, machine: &Machine, alg: Algorithm) -> OffloadRegion {
         .build()
 }
 
-/// Run one offload with the coverage kernel and assert both halves of
-/// the property: per-iteration hit counts all 1, decision ranges a
-/// partition of `[0, n)`.
-fn check(mut rt: Runtime, machine: &Machine, n: u64, alg: Algorithm, label: &str) {
-    rt.set_decision_log(true);
+/// Run one offload with the coverage kernel on a runtime `config` builds
+/// with the decision log on, and assert both halves of the property:
+/// per-iteration hit counts all 1, decision ranges a partition of
+/// `[0, n)`.
+fn check(config: RuntimeConfig, machine: &Machine, n: u64, alg: Algorithm, label: &str) {
+    let mut rt = config.decision_log(true).build(machine.clone());
     let mut k = CoverageKernel::new(n);
     let report = rt
         .offload(&region(n, machine, alg), &mut k)
@@ -59,9 +60,8 @@ proptest! {
     ) {
         for machine in [Machine::four_k40(), Machine::full_node()] {
             for alg in algorithms() {
-                let rt = Runtime::new(machine.clone(), seed);
                 let label = format!("{alg} seed={seed} n={n} machine={}", machine.name);
-                check(rt, &machine, n, alg, &label);
+                check(RuntimeConfig::new().seed(seed), &machine, n, alg, &label);
             }
         }
     }
@@ -84,11 +84,11 @@ proptest! {
                 rt.offload(&region(n, &machine, alg), &mut k).run().unwrap().makespan.as_secs()
             };
             let plan = FaultPlan::new(seed).with_dropout_at(victim, healthy * frac);
-            let rt = Runtime::with_fault_config(machine.clone(), seed, FaultConfig::new(plan));
+            let config = RuntimeConfig::new().seed(seed).faults(FaultConfig::new(plan));
             let label = format!(
                 "{alg} seed={seed} n={n} victim={victim} frac={frac:.2}"
             );
-            check(rt, &machine, n, alg, &label);
+            check(config, &machine, n, alg, &label);
         }
     }
 }

@@ -5,7 +5,9 @@
 
 use homp_core::history::HistoryDb;
 use homp_core::testing::CoverageKernel;
-use homp_core::{Algorithm, OffloadRegion, OffloadReport, PredictionSource, Runtime};
+use homp_core::{
+    Algorithm, OffloadRegion, OffloadReport, PredictionSource, Runtime, RuntimeConfig,
+};
 use homp_lang::{DistPolicy, MapDir};
 use homp_sim::{DeviceId, Machine, SimTime};
 
@@ -27,9 +29,7 @@ fn axpy(name: &str, alg: Algorithm) -> OffloadRegion {
 }
 
 fn runtime() -> Runtime {
-    let mut rt = Runtime::new(Machine::full_node(), 19);
-    rt.set_decision_log(true);
-    rt
+    RuntimeConfig::new().seed(19).decision_log(true).build(Machine::full_node())
 }
 
 /// One learned offload of `region` covering every iteration once,

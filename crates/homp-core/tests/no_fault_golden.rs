@@ -7,15 +7,19 @@
 //! that introduced the fault layer, built *without* it; an exact `==`
 //! on the f64 is intentional — the simulator is deterministic, so any
 //! drift here means the fault layer perturbed the no-fault path.
+//!
+//! The same exactness pins the construction funnel: the `Runtime`
+//! shorthands and a runtime rewound with `reset_with_seed` equal a
+//! fresh `RuntimeConfig::build`.
 
 // The golden literals carry every digit `{:.17e}` printed; that excess
 // precision is the point.
 #![allow(clippy::excessive_precision)]
 
-use homp_core::{Algorithm, FaultConfig, FnKernel, OffloadRegion, Range, Runtime};
+use homp_core::{Algorithm, FaultConfig, FnKernel, OffloadRegion, Range, Runtime, RuntimeConfig};
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
-use homp_sim::Machine;
+use homp_sim::{FaultPlan, Machine, TraceLevel};
 
 fn intensity() -> KernelIntensity {
     KernelIntensity {
@@ -142,8 +146,8 @@ fn a_probation_does_not_outlive_reset_with_seed() {
     // Device 2 drops a quarter of the way into a compute-bound DYNAMIC
     // offload and comes back before the halfway mark, so the chunked
     // path probes it and puts it on probation. Rewound with
-    // `reset_with_seed` and its faults cleared, the runtime must plan
-    // the next static splits exactly as a fresh one does.
+    // `reset_with_seed`, the runtime must plan the next static splits
+    // exactly as a fresh one built from the same config does.
     let heavy = KernelIntensity { flops_per_iter: 50_000.0, ..intensity() };
     let n = 100_000u64;
     let offload = |rt: &mut Runtime, alg: Algorithm| {
@@ -152,27 +156,62 @@ fn a_probation_does_not_outlive_reset_with_seed() {
     };
     let dynamic = Algorithm::Dynamic { chunk_pct: 2.0 };
     let healthy = offload(&mut Runtime::new(Machine::four_k40(), 42), dynamic).makespan.as_secs();
-    let plan = homp_sim::FaultPlan::new(7)
-        .with_dropout_at(2, healthy * 0.25)
-        .with_recovery_at(2, healthy * 0.45);
+    let plan =
+        FaultPlan::new(7).with_dropout_at(2, healthy * 0.25).with_recovery_at(2, healthy * 0.45);
+    let config = RuntimeConfig::new().faults(FaultConfig::new(plan)).decision_log(true);
     for alg in [Algorithm::Model1 { cutoff: None }, Algorithm::Model2 { cutoff: None }] {
-        let faults = FaultConfig::new(plan.clone());
-        let mut reused = Runtime::with_fault_config(Machine::four_k40(), 42, faults);
-        reused.set_decision_log(true);
+        let mut reused = config.build(Machine::four_k40());
         let probed = offload(&mut reused, dynamic);
         assert!(
             probed.decisions.iter().any(|d| d.note == Some("quarantined->probation")),
             "device 2 must go through probation"
         );
-        reused.set_decision_log(false);
         reused.reset_with_seed(42);
-        reused.set_fault_config(FaultConfig::none());
         let rep = offload(&mut reused, alg);
-        let fresh = offload(&mut Runtime::new(Machine::four_k40(), 42), alg);
+        let fresh = offload(&mut config.build(Machine::four_k40()), alg);
         assert_eq!(rep.counts, fresh.counts, "{alg}: the split must not remember the probation");
         assert_eq!(rep.makespan, fresh.makespan, "{alg}");
         assert_eq!(rep.trace.to_csv(), fresh.trace.to_csv(), "{alg}");
     }
+}
+
+/// `Runtime::new` and `Runtime::with_fault_config` cannot drift from
+/// `RuntimeConfig::build`, and a runtime rewound with `reset_with_seed`
+/// keeps every option it was built with: it equals a fresh build of its
+/// config at the new seed.
+#[test]
+fn shorthands_and_rewinds_equal_a_fresh_build() {
+    let machine = Machine::full_node();
+    let n = 100_000u64;
+    let faults =
+        FaultConfig::new(FaultPlan::new(5).with_dropout_at(2, 2e-5).with_transient_dma(1, 0.3));
+    let mut fired = false;
+    for alg in Algorithm::extended_suite() {
+        let r = OffloadRegion { devices: (0..7).collect(), ..region(n, alg) };
+        let offload = |rt: &mut Runtime| {
+            let mut k = FnKernel::new(intensity(), |_r: Range| {});
+            rt.offload(&r, &mut k).run().unwrap()
+        };
+        let mut same = |a: &mut Runtime, b: &mut Runtime, ctx: &str| {
+            let (a, b) = (offload(a), offload(b));
+            assert_eq!(a.trace.to_csv(), b.trace.to_csv(), "{alg} {ctx}");
+            assert_eq!(a.makespan, b.makespan, "{alg} {ctx}");
+            assert_eq!(a.counts, b.counts, "{alg} {ctx}");
+            assert_eq!(a.decisions, b.decisions, "{alg} {ctx}");
+            fired |= a.faults.any();
+        };
+        let seeded = RuntimeConfig::new().seed(7);
+        same(&mut Runtime::new(machine.clone(), 7), &mut seeded.build(machine.clone()), "new");
+        let faulty = seeded.faults(faults.clone());
+        let mut short = Runtime::with_fault_config(machine.clone(), 7, faults.clone());
+        same(&mut short, &mut faulty.build(machine.clone()), "with_fault_config");
+        let config = faulty.decision_log(true).overlap(false).trace_level(TraceLevel::Off);
+        let mut rewound = config.build(machine.clone());
+        same(&mut rewound, &mut config.build(machine.clone()), "before the rewind");
+        rewound.reset_with_seed(11);
+        same(&mut rewound, &mut config.seed(11).build(machine.clone()), "rewound");
+    }
+    assert!(fired, "the faults must fire");
 }
 
 #[test]

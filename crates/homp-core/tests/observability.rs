@@ -5,7 +5,7 @@
 //! complete and consistent with the realized schedule.
 
 use homp_core::{
-    Algorithm, FaultConfig, FnKernel, OffloadRegion, PredictionSource, Range, Runtime,
+    Algorithm, FaultConfig, FnKernel, OffloadRegion, PredictionSource, Range, RuntimeConfig,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
@@ -30,8 +30,10 @@ fn region(n: u64, alg: Algorithm) -> OffloadRegion {
         .build()
 }
 
-fn run(mut rt: Runtime, n: u64, alg: Algorithm, log: bool) -> homp_core::OffloadReport {
-    rt.set_decision_log(log);
+/// One offload on four K40s built from `config`, the decision log on or
+/// off.
+fn run(config: RuntimeConfig, n: u64, alg: Algorithm, log: bool) -> homp_core::OffloadReport {
+    let mut rt = config.decision_log(log).build(Machine::four_k40());
     let mut k = FnKernel::new(intensity(), |_r: Range| {});
     rt.offload(&region(n, alg), &mut k).run().unwrap()
 }
@@ -40,8 +42,8 @@ fn run(mut rt: Runtime, n: u64, alg: Algorithm, log: bool) -> homp_core::Offload
 fn decision_log_changes_no_timestamps() {
     let n = 10_000u64;
     for alg in Algorithm::paper_suite() {
-        let off = run(Runtime::new(Machine::four_k40(), 42), n, alg, false);
-        let on = run(Runtime::new(Machine::four_k40(), 42), n, alg, true);
+        let off = run(RuntimeConfig::new(), n, alg, false);
+        let on = run(RuntimeConfig::new(), n, alg, true);
         assert_eq!(
             off.trace.to_csv(),
             on.trace.to_csv(),
@@ -61,10 +63,10 @@ fn decision_log_is_inert_under_faults_too() {
     // records decisions; it too must be byte-identical either way.
     let n = 100_000u64;
     let alg = Algorithm::Guided { chunk_pct: 20.0 };
-    let healthy = run(Runtime::new(Machine::four_k40(), 42), n, alg, false).makespan.as_secs();
+    let healthy = run(RuntimeConfig::new(), n, alg, false).makespan.as_secs();
     let mk = || {
         let plan = FaultPlan::new(9).with_dropout_at(2, healthy * 0.5).with_transient_dma(1, 0.05);
-        Runtime::with_fault_config(Machine::four_k40(), 42, FaultConfig::new(plan))
+        RuntimeConfig::new().faults(FaultConfig::new(plan))
     };
     let off = run(mk(), n, alg, false);
     let on = run(mk(), n, alg, true);
@@ -81,7 +83,7 @@ fn decision_log_is_inert_under_faults_too() {
 fn logged_decisions_cover_the_loop_and_match_counts() {
     let n = 10_000u64;
     for alg in Algorithm::paper_suite() {
-        let rep = run(Runtime::new(Machine::four_k40(), 42), n, alg, true);
+        let rep = run(RuntimeConfig::new(), n, alg, true);
         let logged: u64 = rep.decisions.iter().map(|d| d.range.len()).sum();
         assert_eq!(logged, n, "{alg}: every iteration appears in exactly one decision");
         for (s, &c) in rep.counts.iter().enumerate() {
@@ -103,7 +105,7 @@ fn model_algorithms_carry_predictions() {
         (Algorithm::Model1 { cutoff: None }, PredictionSource::Model1),
         (Algorithm::Model2 { cutoff: None }, PredictionSource::Model2),
     ] {
-        let rep = run(Runtime::new(Machine::four_k40(), 42), n, alg, true);
+        let rep = run(RuntimeConfig::new(), n, alg, true);
         assert!(
             rep.decisions.iter().all(|d| d.source == Some(source) && d.predicted_s.is_some()),
             "{alg}: static model chunks must carry {source:?} predictions"
@@ -117,7 +119,7 @@ fn model_algorithms_carry_predictions() {
     // Profiling: stage-1 samples measure (no prediction), stage-2 chunks
     // are placed from the measured throughput.
     let rep = run(
-        Runtime::new(Machine::four_k40(), 42),
+        RuntimeConfig::new(),
         n,
         Algorithm::ProfileConst { sample_pct: 10.0, cutoff: None },
         true,
@@ -131,12 +133,7 @@ fn model_algorithms_carry_predictions() {
 
 #[test]
 fn run_report_renders_and_agrees_with_offload_report() {
-    let rep = run(
-        Runtime::new(Machine::four_k40(), 42),
-        10_000,
-        Algorithm::Model2 { cutoff: None },
-        true,
-    );
+    let rep = run(RuntimeConfig::new(), 10_000, Algorithm::Model2 { cutoff: None }, true);
     let rr = rep.run_report();
     assert_eq!(rr.makespan_ms, rep.makespan.as_millis());
     assert_eq!(rr.imbalance_pct, rep.imbalance_pct);

@@ -9,7 +9,7 @@ mod common;
 use common::assert_decisions_partition;
 use homp_core::{
     Algorithm, ChunkingPolicy, FaultConfig, FnKernel, FnPipelineKernel, OffloadRegion, Pipeline,
-    PipelineKernel, Range, Runtime,
+    PipelineKernel, Range, Runtime, RuntimeConfig,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
@@ -175,8 +175,8 @@ proptest! {
             rt.offload_pipeline(&pipe, &mut k).unwrap().makespan.as_secs()
         };
         let plan = FaultPlan::new(seed).with_dropout_at(victim, healthy * frac);
-        let mut rt = Runtime::with_fault_config(machine, seed, FaultConfig::new(plan));
-        rt.set_decision_log(true);
+        let config = RuntimeConfig::new().seed(seed).faults(FaultConfig::new(plan));
+        let mut rt = config.decision_log(true).build(machine);
         let mut k = PipeCoverage::new(3, n);
         let rep = rt.offload_pipeline(&pipe, &mut k).unwrap();
         let label = format!("seed={seed} n={n} victim={victim} frac={frac:.2}");

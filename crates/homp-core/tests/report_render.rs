@@ -20,7 +20,7 @@ mod common;
 use common::CoverageKernel;
 use homp_core::{
     Algorithm, ChunkDecision, FaultConfig, OffloadRegion, OffloadReport, PredictionSource,
-    PredictionStats, Range, RunReport, Runtime,
+    PredictionStats, Range, RunReport, RuntimeConfig,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
@@ -311,13 +311,17 @@ fn region(machine: &Machine, n: u64, alg: Algorithm) -> homp_core::OffloadRegion
         .map_1d("y", MapDir::ToFrom, n, 8, aligned())
 }
 
+/// One offload of `region` on `machine` at seed 42 with `plan`'s faults,
+/// the decision log on or off.
 fn run(
-    mut rt: Runtime,
+    machine: &Machine,
+    plan: FaultPlan,
     region: &OffloadRegion,
     intensity: KernelIntensity,
     log: bool,
 ) -> OffloadReport {
-    rt.set_decision_log(log);
+    let config = RuntimeConfig::new().faults(FaultConfig::new(plan)).decision_log(log);
+    let mut rt = config.build(machine.clone());
     let mut k = CoverageKernel::with_intensity(region.trip_count, intensity);
     let report = rt.offload(region, &mut k).run().expect("scenario offload runs");
     k.assert_exactly_once("render scenario");
@@ -344,7 +348,7 @@ fn every_algorithm_and_fault_script_renders_as_the_reference() {
     for machine in [Machine::four_k40(), Machine::full_node()] {
         for alg in Algorithm::extended_suite() {
             let r = region(&machine, n, alg).build();
-            let healthy = run(Runtime::new(machine.clone(), 42), &r, axpy(), false).makespan;
+            let healthy = run(&machine, FaultPlan::none(), &r, axpy(), false).makespan;
             let all_dropped = (0..machine.devices.len() as DeviceId)
                 .fold(FaultPlan::new(3), |p, d| p.with_dropout_at(d, 1e-6));
             let scripts = [
@@ -356,12 +360,7 @@ fn every_algorithm_and_fault_script_renders_as_the_reference() {
             for (name, plan) in scripts {
                 for log in [false, true] {
                     let ctx = format!("{} {alg} {name} log={log}", machine.name);
-                    let rt = Runtime::with_fault_config(
-                        machine.clone(),
-                        42,
-                        FaultConfig::new(plan.clone()),
-                    );
-                    check(&run(rt, &r, axpy(), log), &ctx, &mut reach);
+                    check(&run(&machine, plan.clone(), &r, axpy(), log), &ctx, &mut reach);
                 }
             }
         }
@@ -384,7 +383,7 @@ fn work_assist_steals_render_as_the_reference() {
     let r = region(&machine, n, alg).cost_profile(ramp).build();
     let mut reach = Reach::default();
     for log in [false, true] {
-        let report = run(Runtime::new(machine.clone(), 42), &r, compute_bound(), log);
+        let report = run(&machine, FaultPlan::none(), &r, compute_bound(), log);
         if log {
             assert!(report.decisions.iter().any(|d| d.stage == "assist"), "assists must fire");
         }
@@ -401,8 +400,7 @@ fn health_transitions_render_as_the_reference() {
     let machine = Machine::four_k40();
     let alg = Algorithm::Dynamic { chunk_pct: 2.0 };
     let r = region(&machine, n, alg).build();
-    let healthy =
-        run(Runtime::new(machine.clone(), 42), &r, compute_bound(), false).makespan.as_secs();
+    let healthy = run(&machine, FaultPlan::none(), &r, compute_bound(), false).makespan.as_secs();
     let scripts = [
         ("slowdown", FaultPlan::new(7).with_slowdown(1, 4.0, healthy * 0.3, healthy * 10.0)),
         (
@@ -415,9 +413,7 @@ fn health_transitions_render_as_the_reference() {
     let mut reach = Reach::default();
     for (name, plan) in scripts {
         for log in [false, true] {
-            let rt =
-                Runtime::with_fault_config(machine.clone(), 42, FaultConfig::new(plan.clone()));
-            let report = run(rt, &r, compute_bound(), log);
+            let report = run(&machine, plan.clone(), &r, compute_bound(), log);
             if log {
                 assert!(report.decisions.iter().any(|d| d.stage == "health"), "{name}");
             }

@@ -29,7 +29,7 @@
 use homp_core::testing::{assert_decisions_partition, CoverageKernel};
 use homp_core::{
     Algorithm, ChunkingPolicy, FaultConfig, FaultSummary, OffloadRegion, OffloadReport, Pipeline,
-    PipelineKernel, Range, Runtime,
+    PipelineKernel, Range, Runtime, RuntimeConfig,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
@@ -199,8 +199,8 @@ fn fingerprint(
     base: f64,
     label: &str,
 ) -> u64 {
-    let mut rt = Runtime::with_fault_config(machine.clone(), 42, faults.clone());
-    rt.set_decision_log(true);
+    let config = RuntimeConfig::new().faults(faults.clone()).decision_log(true);
+    let mut rt = config.build(machine.clone());
     let mut h = Fnv::new();
     let run = |rt: &mut Runtime, at: Option<SimTime>, h: &mut Fnv| {
         let mut k = CoverageKernel::new(N);
@@ -355,8 +355,8 @@ fn pipeline_fingerprint(
     pipe: &Pipeline,
     label: &str,
 ) -> u64 {
-    let mut rt = Runtime::with_fault_config(machine.clone(), 42, faults.clone());
-    rt.set_decision_log(true);
+    let config = RuntimeConfig::new().faults(faults.clone()).decision_log(true);
+    let mut rt = config.build(machine.clone());
     let mut k = PipeCoverage { hits: vec![vec![0; N as usize]; pipe.stages.len()] };
     let rep = rt
         .offload_pipeline(pipe, &mut k)

@@ -4,7 +4,7 @@
 //! and every byte recorded in the trace must reconcile with the data
 //! plan.
 
-use homp_core::{Algorithm, DataPlan, FnKernel, OffloadRegion, Range, Runtime};
+use homp_core::{Algorithm, DataPlan, FnKernel, OffloadRegion, Range, Runtime, RuntimeConfig};
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
 use homp_sim::{Machine, OpKind};
@@ -83,7 +83,7 @@ fn trace_bytes_reconcile_with_data_plan() {
     let n = 50_000u64;
     let reg = region(n, Algorithm::Block);
     let plan = DataPlan::new(&reg, 4).unwrap();
-    let mut rt = Runtime::noiseless(Machine::four_k40());
+    let mut rt = RuntimeConfig::new().noiseless().build(Machine::four_k40());
     let mut k = FnKernel::new(intensity(), |_r: Range| {});
     let rep = rt.offload(&reg, &mut k).run().unwrap();
 

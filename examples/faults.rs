@@ -69,13 +69,15 @@ fn main() {
     println!("HOMP fault injection — AXPY on a simulated 4-GPU node");
 
     // Baseline: no faults.
-    let mut healthy = Homp::with_seed(Machine::four_k40(), 42);
+    let mut healthy = Homp::new(Machine::four_k40());
     let base = run(&mut healthy, "healthy node");
 
     // Device 3 drops out permanently mid-region; device 1's DMA engine
     // flips a transient error on ~2% of transfers.
     let plan = FaultPlan::new(7).with_dropout_at(3, 0.5e-3).with_transient_dma(1, 0.02);
-    let mut faulty = Homp::with_faults(Machine::four_k40(), 42, FaultConfig::new(plan));
+    let faults = FaultConfig::new(plan);
+    let mut faulty =
+        Homp::with_runtime(Runtime::with_fault_config(Machine::four_k40(), 42, faults));
     let hit = run(&mut faulty, "device 3 dies at 0.5 ms, device 1 has flaky DMA");
 
     assert!(hit.faults.any(), "faults should have fired");

@@ -45,9 +45,9 @@ fn run(homp: &mut Homp, schedule: &str) -> OffloadReport {
 }
 
 fn main() {
-    let mut homp = Homp::new(Machine::full_node());
-    // One switch: every subsequent offload carries its decision log.
-    homp.set_decision_log(true);
+    // One switch: every offload carries its decision log.
+    let mut homp =
+        Homp::with_runtime(RuntimeConfig::new().decision_log(true).build(Machine::full_node()));
 
     for schedule in ["MODEL_2_AUTO", "SCHED_DYNAMIC,2%"] {
         let report = run(&mut homp, schedule);

@@ -79,7 +79,7 @@ fn every_kernel_every_algorithm_is_numerically_correct() {
 fn serialized_and_parallel_offload_same_results() {
     let n = 8_192usize;
     let run = |parallel: bool| {
-        let mut homp = Homp::with_seed(Machine::four_k40(), 77);
+        let mut homp = Homp::with_runtime(Runtime::new(Machine::four_k40(), 77));
         let mut env = Env::new();
         env.insert("n".into(), n as i64);
         let dev = if parallel { "parallel target device(*)" } else { "target device(*)" };
