@@ -407,7 +407,7 @@ impl Jacobi {
             }
 
             // (2) halo exchange on uold.
-            let span = rt.exchange_halo(slots, &loop1, 1, m * 8);
+            let span = rt.exchange_halo(slots, &loop1, 1, m * 8).expect("halo exchange");
             halo_total += span;
             total += span;
 
@@ -708,7 +708,8 @@ mod tests {
         };
         // One exchange on `split`, priced as a sweep prices it.
         let exchange = |split: &Distribution| {
-            Runtime::new(Machine::full_node(), 42).exchange_halo(&devices, split, 1, m as u64 * 8)
+            let mut rt = Runtime::new(Machine::full_node(), 42);
+            rt.exchange_halo(&devices, split, 1, m as u64 * 8).unwrap()
         };
         let mut seq = Jacobi::new(n, m);
         seq.run_sequential(4, 0.0);
