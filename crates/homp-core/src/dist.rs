@@ -74,11 +74,6 @@ impl Distribution {
         self.ranges[d]
     }
 
-    /// All ranges in device order.
-    pub fn ranges(&self) -> &[Range] {
-        &self.ranges
-    }
-
     /// Per-device lengths.
     pub fn counts(&self) -> Vec<u64> {
         self.ranges.iter().map(|r| r.len()).collect()

@@ -31,24 +31,6 @@ impl Hockney {
         self.alpha + bytes / self.beta
     }
 
-    /// Time for `k` separate transactions moving `bytes` bytes in total.
-    ///
-    /// Chunked scheduling splits one logical transfer into many
-    /// transactions, paying the startup latency once per transaction —
-    /// this is the "more stages need more memory movement transactions"
-    /// overhead of Table II.
-    pub fn time_chunked(&self, bytes: f64, k: u64) -> f64 {
-        debug_assert!(bytes >= 0.0);
-        self.alpha * k as f64 + bytes / self.beta
-    }
-
-    /// The message size at which half the peak bandwidth is achieved
-    /// (`n_1/2` in Hockney's papers). Useful for picking minimum chunk
-    /// sizes: chunks far below this are latency-dominated.
-    pub fn half_bandwidth_bytes(&self) -> f64 {
-        self.alpha * self.beta
-    }
-
     /// Effective bandwidth (bytes/s) achieved for a message of `bytes`.
     pub fn effective_bandwidth(&self, bytes: f64) -> f64 {
         if bytes <= 0.0 {
@@ -81,19 +63,10 @@ mod tests {
     }
 
     #[test]
-    fn chunking_pays_latency_per_transaction() {
-        let l = pcie();
-        let whole = l.time(1e8);
-        let chunked = l.time_chunked(1e8, 100);
-        assert!(chunked > whole);
-        assert!((chunked - whole - 99.0 * l.alpha).abs() < 1e-12);
-    }
-
-    #[test]
     fn half_bandwidth_point() {
+        // `n_1/2 = α·β`: 10 µs × 12 GB/s = 120 kB reaches half the peak.
         let l = pcie();
-        let n_half = l.half_bandwidth_bytes();
-        let eff = l.effective_bandwidth(n_half);
+        let eff = l.effective_bandwidth(120e3);
         assert!((eff - l.beta / 2.0).abs() / l.beta < 1e-12);
     }
 

@@ -66,12 +66,6 @@ pub fn exec_time(intensity: &KernelIntensity, iters: f64, peak_flops: f64, mem_b
     iters * intensity.flops_per_iter / rate
 }
 
-/// The ridge point of a device's roofline: the arithmetic intensity
-/// (FLOPs/byte) above which the device is compute-bound.
-pub fn ridge_point(peak_flops: f64, mem_bw: f64) -> f64 {
-    peak_flops / mem_bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,9 +120,10 @@ mod tests {
 
     #[test]
     fn ridge_point_divides_regimes() {
+        // 1 TFLOP/s over 100 GB/s: compute-bound above 10 FLOPs/byte.
         let peak = 1e12;
         let bw = 1e11;
-        let ridge = ridge_point(peak, bw);
+        let ridge = 10.0;
         let below = KernelIntensity {
             flops_per_iter: ridge * 8.0 * 0.5,
             mem_elems_per_iter: 1.0,

@@ -320,11 +320,6 @@ impl FaultPlan {
         self.device(device).and_then(|p| p.fail_at).map(SimTime::from_secs)
     }
 
-    /// The device's scripted recovery instant, if any.
-    pub fn recover_at(&self, device: DeviceId) -> Option<SimTime> {
-        self.device(device).and_then(|p| p.recover_at).map(SimTime::from_secs)
-    }
-
     /// Where inside `[start, end)` the device's scripted outage kills an
     /// operation, if it does. `Some(start)` means the submission itself
     /// fails (the device is already gone); a later instant means the

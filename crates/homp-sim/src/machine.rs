@@ -61,11 +61,6 @@ impl Machine {
         }
     }
 
-    /// Model-facing parameters for every device.
-    pub fn params(&self) -> Vec<homp_model::DeviceParams> {
-        self.devices.iter().map(|d| d.to_params()).collect()
-    }
-
     /// Datasheet parameters for every device (what the machine
     /// description file declares).
     pub fn datasheet_params(&self) -> Vec<homp_model::DeviceParams> {

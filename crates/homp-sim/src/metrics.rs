@@ -120,11 +120,6 @@ pub struct TransferStats {
 }
 
 impl TransferStats {
-    /// Total bytes a naive per-offload mapping would have moved.
-    pub fn requested_bytes(&self) -> u64 {
-        self.h2d_bytes + self.h2d_elided_bytes + self.d2h_bytes + self.d2h_elided_bytes
-    }
-
     /// Merge another set of counters into this one.
     pub fn absorb(&mut self, other: &TransferStats) {
         self.h2d_bytes += other.h2d_bytes;
