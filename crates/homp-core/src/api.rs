@@ -173,7 +173,9 @@ impl Homp {
     /// maps, plans the pairwise boundary sends for `dist`, and simulates
     /// them. Returns the exchange's virtual duration; `Ok(SimSpan::ZERO)`
     /// when the devices share memory. A split without one range per
-    /// device of the region is [`OffloadError::AlignSlots`].
+    /// device of the region is [`OffloadError::AlignSlots`], a replicated
+    /// one [`OffloadError::AlignReplicated`], and a device the region
+    /// names twice [`OffloadError::DuplicateDevice`].
     pub fn halo_exchange(
         &mut self,
         directive_src: &str,

@@ -295,6 +295,16 @@ pub fn compile(
         }
     }
 
+    // ---- reductions: each device copies its partials back --------------
+    let reduction_vars: u64 = directives
+        .iter()
+        .flat_map(|d| &d.clauses)
+        .map(|c| match c {
+            Clause::Reduction { vars, .. } => vars.len() as u64,
+            _ => 0,
+        })
+        .sum();
+
     let parallel_offload = directives.iter().any(|d| d.is_parallel_target());
 
     let mut region = OffloadRegion::builder(opts.kernel_name.clone())
@@ -302,7 +312,8 @@ pub fn compile(
         .trip_count(opts.trip_count)
         .algorithm(algorithm)
         .devices(devices)
-        .scalars(scalar_bytes);
+        .scalars(scalar_bytes)
+        .reduction(reduction_vars * ELEM_BYTES);
     region = region.team_sched(team_sched);
     if let Some((target, ratio)) = loop_align {
         region = region.align_loop_with(target, ratio);
@@ -369,20 +380,6 @@ pub fn compile_data_region(
         return Err(CompileError::NotTargetData);
     }
     compile(directives, env, device_types, opts)
-}
-
-/// Reduction clauses found in the directives (the runtime's kernels
-/// handle the arithmetic; this surfaces the declaration).
-pub fn reductions(directives: &[&Directive]) -> Vec<(homp_lang::ReductionOp, Vec<String>)> {
-    let mut out = Vec::new();
-    for d in directives {
-        for c in &d.clauses {
-            if let Clause::Reduction { op, vars } = c {
-                out.push((*op, vars.clone()));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -477,9 +474,7 @@ mod tests {
         assert_eq!(uold.dims, vec![64, 32]);
         assert_eq!(uold.halo, vec![Some(1), None]);
         assert_eq!(region.scalar_bytes, 6 * 8);
-        let reds = reductions(&[&data, &lp]);
-        assert_eq!(reds.len(), 1);
-        assert_eq!(reds[0].1, vec!["error".to_string()]);
+        assert_eq!(region.reduction_bytes, 8, "reduction(+:error) copies one REAL back");
     }
 
     #[test]

@@ -328,9 +328,10 @@ impl DataEnv {
     /// static split, `shares[s]` contiguous iterations on `slots[s]` in
     /// slot order; `None` means loop-aligned data streams per chunk, so
     /// only the fixed mappings (scalars, replicated and independent
-    /// arrays) count here. When no open region covers any of the
-    /// offload's arrays these are the plain plan numbers and nothing is
-    /// recorded.
+    /// arrays, reduction partials) count here. When no open region
+    /// covers any of the offload's arrays these are the plain plan
+    /// numbers and nothing is recorded. A region never elides or defers
+    /// the reduction partials, and [`TransferStats`] leaves them out.
     ///
     /// Inside a region, residency tables and [`TransferStats`] advance
     /// and device allocations are created or resized (an allocation
@@ -356,7 +357,9 @@ impl DataEnv {
             });
         }
         let mut h2d = vec![0u64; n];
-        let mut d2h = vec![0u64; n];
+        // Reduction partials are results, not resident data: they come
+        // back after every offload.
+        let mut d2h = vec![region.reduction_bytes; n];
         self.charge_scalars(region, plan, &mut h2d);
 
         for cost in plan.per_array() {

@@ -6,7 +6,8 @@
 //! its neighbours' data. After the owner updates its block, an exchange
 //! sends the `w` boundary rows to each adjacent device. On the
 //! simulator the exchange routes through host memory (device→host then
-//! host→device, as PCIe-attached accelerators without peer-to-peer do).
+//! host→device, as PCIe-attached accelerators without peer-to-peer do),
+//! with one packed copy per device and direction.
 
 use crate::dist::Distribution;
 use crate::region::Range;
@@ -54,11 +55,16 @@ pub fn plan_exchange(dist: &Distribution, w: u64) -> Vec<HaloTransfer> {
     out
 }
 
-/// Execute a planned exchange on the simulator: each send is a D2H from
-/// the source followed by an H2D into the destination. `slots` maps
-/// distribution slots to machine device IDs; `slab_bytes` is the byte
-/// size of one row of the distributed dimension. `ready` gates the
-/// start; returns the instant the whole exchange completes.
+/// Execute a planned exchange on the simulator, through host memory.
+/// Each sending device issues one `halo-up` D2H carrying the union of
+/// the rows it sends; each receiving device issues one `halo-down` H2D
+/// carrying every row it receives, once all of its senders have landed.
+/// Each is one strided 2-D copy, as `cudaMemcpy2DAsync` does, so the
+/// exchange pays one link latency each way per device, not per
+/// neighbour. `slots` maps distribution slots to machine device IDs;
+/// `slab_bytes` is the byte size of one row of the distributed
+/// dimension. `ready` gates the start; returns the instant the whole
+/// exchange completes.
 pub fn simulate_exchange(
     engine: &mut Engine,
     slots: &[DeviceId],
@@ -66,17 +72,38 @@ pub fn simulate_exchange(
     slab_bytes: u64,
     ready: SimTime,
 ) -> SimTime {
-    let mut done = ready;
-    for t in transfers {
-        let bytes = t.rows.len() * slab_bytes;
-        if bytes == 0 {
-            continue;
+    let mut landed = vec![ready; slots.len()];
+    for (s, &dev) in slots.iter().enumerate() {
+        let rows = union_len(transfers.iter().filter(|t| t.from_slot == s).map(|t| t.rows));
+        if rows > 0 {
+            landed[s] = engine.transfer(dev, rows * slab_bytes, Dir::D2H, ready, "halo-up");
         }
-        let up = engine.transfer(slots[t.from_slot], bytes, Dir::D2H, ready, "halo-up");
-        let down = engine.transfer(slots[t.to_slot], bytes, Dir::H2D, up, "halo-down");
-        done = done.max(down);
+    }
+    let mut done = ready;
+    for (s, &dev) in slots.iter().enumerate() {
+        let (mut rows, mut senders) = (0, ready);
+        for t in transfers.iter().filter(|t| t.to_slot == s) {
+            rows += t.rows.len();
+            senders = senders.max(landed[t.from_slot]);
+        }
+        if rows > 0 {
+            let down = engine.transfer(dev, rows * slab_bytes, Dir::H2D, senders, "halo-down");
+            done = done.max(down);
+        }
     }
     done
+}
+
+/// Rows covered by the union of `ranges`.
+fn union_len(ranges: impl Iterator<Item = Range>) -> u64 {
+    let mut sorted: Vec<Range> = ranges.collect();
+    sorted.sort_by_key(|r| r.start);
+    let (mut rows, mut covered) = (0, 0);
+    for r in sorted {
+        rows += r.end.saturating_sub(r.start.max(covered));
+        covered = covered.max(r.end);
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -145,6 +172,10 @@ mod tests {
     /// MODEL_2's split of the 512² Jacobi grid on the full node gives the
     /// two MICs (devices 5 and 6) no rows, so the exchange leaves them
     /// alone; the host socket and the four K40s exchange as neighbours.
+    /// Each K40 packs its boundary rows into one upload and its ghost
+    /// rows into one download, so the exchange ends after two link
+    /// latencies (21.64 µs), where one copy pair per neighbour took four
+    /// (41.64 µs).
     #[test]
     fn simulated_exchange_skips_devices_without_rows() {
         let mut e = Engine::noiseless(Machine::full_node());
@@ -152,9 +183,14 @@ mod tests {
         let t = plan_exchange(&dist, 1);
         assert_eq!(t.len(), 8, "two sends per adjacent pair of the five owners");
         let end = simulate_exchange(&mut e, &[0, 1, 2, 3, 4, 5, 6], &t, 512 * 8, SimTime::ZERO);
-        assert!(end > SimTime::ZERO);
-        assert!(!e.trace().is_empty());
-        assert!(e.trace().events().iter().all(|ev| ev.device < 5), "no event on a MIC");
+        assert!((end.as_secs() * 1e6 - 21.64).abs() < 0.005, "ends at {end}");
+        let events = e.trace().events();
+        assert_eq!(events.len(), 8, "one upload and one download per K40");
+        for ev in events {
+            // Device 4, the last owner, has one neighbour; the others two.
+            let rows = if ev.device == 4 { 1 } else { 2 };
+            assert!((1..5).contains(&ev.device) && ev.amount == rows * 4096, "{ev:?}");
+        }
     }
 
     #[test]
@@ -172,6 +208,7 @@ mod tests {
 #[cfg(test)]
 mod property_tests {
     use super::*;
+    use homp_sim::Machine;
     use proptest::prelude::*;
 
     /// A BLOCK split, or a contiguous split whose empty slots may lead,
@@ -215,6 +252,49 @@ mod property_tests {
                         && u.to_slot == t.from_slot),
                     "missing reverse transfer for {t:?}"
                 );
+            }
+        }
+
+        /// On the simulator each device records at most one `halo-up`,
+        /// moving the union of the rows it sends, and one `halo-down`,
+        /// moving the sum of the rows it receives; a device without rows,
+        /// or on shared memory (the host socket), records neither.
+        #[test]
+        fn exchange_packs_one_copy_per_device_and_direction(
+            dist in any_split(),
+            w in 1u64..8,
+        ) {
+            let machine = Machine::full_node();
+            prop_assume!(dist.n_devices() <= machine.len());
+            let slots: Vec<DeviceId> = (0..dist.n_devices() as DeviceId).collect();
+            let transfers = plan_exchange(&dist, w);
+            let mut e = Engine::noiseless(machine);
+            let slab = 512 * 8;
+            simulate_exchange(&mut e, &slots, &transfers, slab, SimTime::ZERO);
+            for (s, &dev) in slots.iter().enumerate() {
+                let mut union: Vec<u64> = transfers
+                    .iter()
+                    .filter(|t| t.from_slot == s)
+                    .flat_map(|t| t.rows.start..t.rows.end)
+                    .collect();
+                union.sort_unstable();
+                union.dedup();
+                let received: u64 =
+                    transfers.iter().filter(|t| t.to_slot == s).map(|t| t.rows.len()).sum();
+                let linked = e.machine().devices[dev as usize].needs_copy();
+                let owns = !dist.range(s).is_empty();
+                for (label, rows) in [("halo-up", union.len() as u64), ("halo-down", received)] {
+                    let moved: Vec<u64> = e
+                        .trace()
+                        .events()
+                        .iter()
+                        .filter(|ev| ev.device == dev && e.trace().label(ev.label) == label)
+                        .map(|ev| ev.amount)
+                        .collect();
+                    let expected =
+                        if linked && owns && rows > 0 { vec![rows * slab] } else { vec![] };
+                    prop_assert_eq!(moved, expected, "slot {} {}", s, label);
+                }
             }
         }
 

@@ -14,8 +14,9 @@
 //! * **independently distributed** — a BLOCK root of its own: fixed
 //!   per-device bytes from its own distribution.
 //!
-//! Scalars are broadcast (fixed bytes). Halo widths are collected for
-//! [`crate::halo`] to price exchanges.
+//! Scalars are broadcast (fixed H2D bytes), and each device copies its
+//! reduction partials back (fixed D2H bytes). Halo widths are collected
+//! for [`crate::halo`] to price exchanges.
 
 use crate::align::{AlignError, AlignGraph};
 use crate::dist::Distribution;
@@ -186,7 +187,7 @@ impl DataPlan {
         let mut plan = DataPlan {
             n_devices,
             h2d_fixed: vec![region.scalar_bytes; n_devices],
-            d2h_fixed: vec![0; n_devices],
+            d2h_fixed: vec![region.reduction_bytes; n_devices],
             alloc_fixed: vec![region.scalar_bytes; n_devices],
             h2d_per_iter: 0.0,
             d2h_per_iter: 0.0,
@@ -324,7 +325,8 @@ impl DataPlan {
         self.h2d_fixed[s]
     }
 
-    /// Fixed D2H bytes of slot `s`.
+    /// Fixed D2H bytes of slot `s` (independent arrays + replicated
+    /// ones + reduction partials).
     pub fn d2h_fixed_bytes(&self, s: usize) -> u64 {
         self.d2h_fixed[s]
     }

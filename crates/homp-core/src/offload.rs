@@ -95,6 +95,9 @@ pub struct OffloadRegion {
     pub loop_align: Option<(String, u64)>,
     /// Bytes of scalar firstprivate data broadcast per device (`a`, `n`).
     pub scalar_bytes: u64,
+    /// Bytes of the `reduction(...)` variables: each device that runs
+    /// iterations copies its partial result back.
+    pub reduction_bytes: u64,
     /// Within-device team scheduling (`dist_schedule(teams: …)`).
     pub team_sched: TeamSched,
     /// Optional relative cost of iteration `i` (1.0 = uniform). Models
@@ -129,6 +132,7 @@ impl OffloadRegion {
                 parallel_offload: true,
                 loop_align: None,
                 scalar_bytes: 0,
+                reduction_bytes: 0,
                 team_sched: TeamSched::Aggregate,
                 cost_profile: None,
                 nowait: false,
@@ -241,6 +245,13 @@ impl OffloadRegionBuilder {
     /// Account scalar (firstprivate) bytes broadcast to each device.
     pub fn scalars(mut self, bytes: u64) -> Self {
         self.region.scalar_bytes = bytes;
+        self
+    }
+
+    /// Account reduction-variable bytes each device copies back
+    /// (`reduction(+:error)`).
+    pub fn reduction(mut self, bytes: u64) -> Self {
+        self.region.reduction_bytes = bytes;
         self
     }
 

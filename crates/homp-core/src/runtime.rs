@@ -847,9 +847,10 @@ impl Runtime {
     /// (ghost width `width`, `slab_bytes` per row): plans the pairwise
     /// sends and simulates them, returning the exchange's virtual
     /// duration. Used between offloads of an iterative app (Fig. 3's
-    /// `#pragma omp halo_exchange (uold)`). A slot the machine lacks, or
-    /// a split without one range per slot, is refused before the engine
-    /// is touched.
+    /// `#pragma omp halo_exchange (uold)`). A slot the machine lacks, a
+    /// repeated slot, a split without one range per slot, or a
+    /// replicated (FULL) split, which has no halo, is refused before the
+    /// engine is touched.
     pub fn exchange_halo(
         &mut self,
         slots: &[DeviceId],
@@ -857,11 +858,12 @@ impl Runtime {
         width: u64,
         slab_bytes: u64,
     ) -> Result<SimSpan, OffloadError> {
-        if let Some(&d) = slots.iter().find(|&&d| d as usize >= self.engine.n_devices()) {
-            return Err(OffloadError::UnknownDevice(d));
-        }
+        self.check_devices(slots)?;
         if dist.n_devices() != slots.len() {
             return Err(OffloadError::AlignSlots(dist.n_devices()));
+        }
+        if dist.is_replicated() {
+            return Err(OffloadError::AlignReplicated);
         }
         self.engine.reset();
         let transfers = crate::halo::plan_exchange(dist, width);
@@ -1069,10 +1071,21 @@ impl Runtime {
     /// `[0, 1)`, and its scheduling percentage in the algorithm's range
     /// (`Algorithm::invalid_pct`).
     fn check_region(&self, region: &OffloadRegion) -> Result<(), OffloadError> {
-        let devices = &region.devices;
-        if devices.is_empty() {
+        if region.devices.is_empty() {
             return Err(OffloadError::NoDevices);
         }
+        self.check_devices(&region.devices)?;
+        if let Some(r) = region.algorithm.invalid_cutoff() {
+            return Err(OffloadError::InvalidCutoff(r));
+        }
+        match region.algorithm.invalid_pct() {
+            Some((param, value)) => Err(OffloadError::InvalidPercent { param, value }),
+            None => Ok(()),
+        }
+    }
+
+    /// Every device in `devices` must be one the machine has, named once.
+    fn check_devices(&self, devices: &[DeviceId]) -> Result<(), OffloadError> {
         for (i, &d) in devices.iter().enumerate() {
             if d as usize >= self.engine.n_devices() {
                 return Err(OffloadError::UnknownDevice(d));
@@ -1081,13 +1094,7 @@ impl Runtime {
                 return Err(OffloadError::DuplicateDevice(d));
             }
         }
-        if let Some(r) = region.algorithm.invalid_cutoff() {
-            return Err(OffloadError::InvalidCutoff(r));
-        }
-        match region.algorithm.invalid_pct() {
-            Some((param, value)) => Err(OffloadError::InvalidPercent { param, value }),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// The split a `.run()` of `region` would use for a kernel of
@@ -2032,9 +2039,10 @@ impl Runtime {
         self.recover(kernel, plan, &mut led);
         led.chunks += queue.chunks_handed();
 
-        // Final fixed out-transfers (replicated/independent `from` data).
+        // Final fixed out-transfers (replicated/independent `from` data,
+        // and the reduction partial of a slot that ran a chunk).
         for s in 0..n {
-            let b = fixed.d2h[s];
+            let b = fixed.d2h[s] - if led.counts[s] == 0 { region.reduction_bytes } else { 0 };
             if b > 0 && !led.quarantined(s) {
                 let ready = led.completions[s];
                 match self.transfer(&mut led, s, b, Dir::D2H, ready, "map-out-fixed") {

@@ -500,9 +500,10 @@ fn a_split_that_does_not_fit_the_region_is_a_typed_error() {
     }
 }
 
-/// A halo exchange takes a split with one range per slot, on devices the
-/// machine has. A slot the machine lacks, or a split over more or fewer
-/// slots, is the typed error the region check and `.align` give, through
+/// A halo exchange takes a partitioned split with one range per slot, on
+/// devices the machine has, each named once. A slot the machine lacks, a
+/// repeated slot, a split over more or fewer slots, or a replicated (FULL)
+/// split is the typed error the region check and `.align` give, through
 /// `Runtime::exchange_halo` and `Homp::halo_exchange` alike, before the
 /// engine is rewound: an offload dispatched `.at(t)` afterwards queues
 /// behind the work in flight exactly as it does without the refused
@@ -527,6 +528,8 @@ fn a_halo_exchange_on_a_split_that_does_not_fit_is_a_typed_error() {
         (vec![0, 1, 2, 9], fits.clone(), OffloadError::UnknownDevice(9)),
         (vec![0, 1, 2, 3], Distribution::block(n, 8), OffloadError::AlignSlots(8)),
         (vec![0, 1, 2, 3], Distribution::block(n, 2), OffloadError::AlignSlots(2)),
+        (vec![0, 0, 1, 2], fits.clone(), OffloadError::DuplicateDevice(0)),
+        (vec![0, 1, 2, 3], Distribution::full(n, 4), OffloadError::AlignReplicated),
     ];
     let axpy = region(80_000, vec![0, 1, 2, 3], Algorithm::Block);
     let at = SimTime::from_secs(41.6e-6);

@@ -8,7 +8,8 @@
 //! and two offloads inside a `target data` region. Each golden line is
 //! one (machine, fault script, variant, offload mode) cell holding the
 //! 16 per-algorithm hashes. Every run also asserts exactly-once
-//! execution and that its decision log partitions the loop.
+//! execution, that its decision log partitions the loop and that no
+//! transfer in its trace moves 0 bytes.
 //!
 //! A hash covers the trace CSV, the decision log, the per-slot counts,
 //! the chunk count, the kept devices and the bits of the makespan,
@@ -33,7 +34,7 @@ use homp_core::{
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
-use homp_sim::{DeviceId, FaultPlan, Machine, SimTime};
+use homp_sim::{DeviceId, FaultPlan, Machine, OpKind, SimTime, Trace};
 
 const GOLDEN: &str = include_str!("golden/schedule_fingerprint.txt");
 
@@ -114,6 +115,16 @@ fn hash_faults(h: &mut Fnv, f: &FaultSummary) {
     h.u64(f.requeued_chunks);
     h.u64(f.requeued_iters);
     h.u64(f.host_iters);
+}
+
+/// Resident data and absent reductions move nothing, so no H2D or D2H
+/// event in `trace` carries 0 bytes.
+fn assert_no_empty_transfer(trace: &Trace, label: &str) {
+    let empty = trace
+        .events()
+        .iter()
+        .find(|e| matches!(e.kind, OpKind::H2D | OpKind::D2H) && e.amount == 0);
+    assert!(empty.is_none(), "{label}: 0-byte transfer {:?}", empty.map(|e| trace.label(e.label)));
 }
 
 /// An irregular loop: iteration cost ramps from 0.5× to 1.5×.
@@ -212,6 +223,7 @@ fn fingerprint(
         let report = b.run().unwrap_or_else(|e| panic!("{label}: offload failed: {e}"));
         k.assert_exactly_once(label);
         assert_decisions_partition(&report, N, label);
+        assert_no_empty_transfer(&report.trace, label);
         hash_report(h, &report);
     };
     match mode {
@@ -361,6 +373,7 @@ fn pipeline_fingerprint(
     let rep = rt
         .offload_pipeline(pipe, &mut k)
         .unwrap_or_else(|e| panic!("{label}: pipeline failed: {e}"));
+    assert_no_empty_transfer(&rep.trace, label);
     let mut h = Fnv::new();
     h.str(&rep.trace.to_csv());
     for (s, stage) in rep.stages.iter().enumerate() {

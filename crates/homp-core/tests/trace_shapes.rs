@@ -134,3 +134,52 @@ fn host_devices_never_appear_in_transfer_events() {
         }
     }
 }
+
+/// A region that declares a reduction copies each slot's 8-byte partial
+/// back in one D2H, beside its mapped-out bytes, under all 8 algorithms,
+/// plain and inside an open `target data` region; the same region
+/// without a reduction moves only its mapped-out bytes: `y`'s rows,
+/// which the data region defers to its close under a static split. A
+/// slot that runs no rows (3 iterations on 4 devices) copies nothing.
+#[test]
+fn every_slot_that_runs_rows_copies_its_reduction_partial_back() {
+    for n in [3u64, 100_000] {
+        for alg in Algorithm::extended_suite() {
+            for in_region in [false, true] {
+                // Per device: the D2H amounts, and the rows it ran.
+                let run = |reduction_bytes: u64| {
+                    let r = OffloadRegion { reduction_bytes, ..region(n, alg) };
+                    let mut rt = RuntimeConfig::new().noiseless().build(Machine::four_k40());
+                    if in_region {
+                        rt.data_region_begin(&r);
+                    }
+                    let streamed = rt.distribution(&r, &intensity()).unwrap().is_none();
+                    let mut k = FnKernel::new(intensity(), |_r: Range| {});
+                    let rep = rt.offload(&r, &mut k).run().unwrap();
+                    let d2h = |dev: u32| -> Vec<u64> {
+                        let d2h = rep.trace.events().iter().filter(|e| e.kind == OpKind::D2H);
+                        d2h.filter(|e| e.device == dev).map(|e| e.amount).collect()
+                    };
+                    ((0..4).map(d2h).collect::<Vec<_>>(), rep.counts, streamed)
+                };
+                let (without, counts, streamed) = run(0);
+                let (with, counts_with, _) = run(8);
+                let label = format!("{alg}, n = {n}, in a data region: {in_region}");
+                assert_eq!(counts, counts_with, "{label}: the copy-back moves no row");
+                for dev in 0..4 {
+                    let ran = counts[dev] > 0;
+                    let mapped = if in_region && !streamed { 0 } else { counts[dev] * 8 };
+                    assert_eq!(without[dev].iter().sum::<u64>(), mapped, "{label}: device {dev}");
+                    assert_eq!(without[dev].is_empty(), mapped == 0, "{label}: device {dev}");
+                    let sum: u64 = with[dev].iter().sum();
+                    assert_eq!(sum, mapped + 8 * u64::from(ran), "{label}: device {dev}");
+                    let ops = (without[dev].len(), with[dev].len());
+                    assert!(
+                        ops.1 <= ops.0 + 1,
+                        "{label}: device {dev} issues one D2H for the partial"
+                    );
+                }
+            }
+        }
+    }
+}

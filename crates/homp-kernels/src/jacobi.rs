@@ -174,7 +174,8 @@ impl Jacobi {
         }
     }
 
-    /// The Fig. 3 update-loop region.
+    /// The Fig. 3 update-loop region, with its `reduction(+:error)`:
+    /// each device that updates rows copies its 8-byte partial back.
     pub fn update_region(&self, devices: Vec<DeviceId>, algorithm: Algorithm) -> OffloadRegion {
         let (n, m) = (self.n as u64, self.m as u64);
         OffloadRegion::builder("jacobi-update")
@@ -213,6 +214,7 @@ impl Jacobi {
                 Some(1),
             )
             .scalars(6 * 8)
+            .reduction(8)
             .build()
     }
 
@@ -658,7 +660,8 @@ mod tests {
 
         // …but the region only pays the cold first sweep: all later
         // sweeps elide every H2D array transfer and defer `u`'s
-        // copy-back to one flush at close.
+        // copy-back to one flush at close. What each sweep copies back is
+        // the update's 8-byte error partial from each of the 4 devices.
         assert!(region.h2d_bytes > 0);
         assert!(
             baseline.h2d_bytes >= 5 * region.h2d_bytes,
@@ -666,7 +669,7 @@ mod tests {
             baseline.h2d_bytes,
             region.h2d_bytes
         );
-        assert_eq!(region.d2h_bytes, 0, "copy-back must be deferred to the flush");
+        assert_eq!(region.d2h_bytes, steps * 4 * 8, "copy-back must be deferred to the flush");
         assert_eq!(region.flushed_bytes, 48 * 40 * 8, "u flushed exactly once");
         assert!(baseline.d2h_bytes > 0);
         assert_eq!(baseline.flushed_bytes, 0);

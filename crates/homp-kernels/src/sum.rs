@@ -22,7 +22,9 @@ pub fn intensity() -> KernelIntensity {
 }
 
 /// Offload region: the input vector aligns with the loop; the scalar
-/// result is reduced.
+/// result is reduced. The region prices no copy-back of the partials
+/// (no `.reduction(8)`): `benchmark/`'s directive_grid checks it against
+/// its compiled `sum` directive, which has no `reduction` clause.
 pub fn region(n: u64, devices: Vec<DeviceId>, algorithm: homp_core::Algorithm) -> OffloadRegion {
     OffloadRegion::builder("sum")
         .trip_count(n)

@@ -383,7 +383,11 @@ impl Engine {
 
     /// Submit a data transfer that may begin at `ready`. Returns the
     /// completion instant. Shared-memory devices return `ready`
-    /// immediately and record nothing (mapping is free). Never consults
+    /// immediately and record nothing (mapping is free), and so does a
+    /// 0-byte transfer on any device, which holds no DMA engine or bus
+    /// lane. A 0-byte transfer on a linked device still takes the
+    /// device's noise sequence number, so every later op on it draws
+    /// the jitter it would draw after any one transfer. Never consults
     /// the fault plan; see [`Engine::try_transfer`].
     pub fn transfer(
         &mut self,
@@ -448,6 +452,10 @@ impl Engine {
             return Ok(ready);
         }
         let seq = self.next_seq(dev);
+        if bytes == 0 {
+            // Nothing to move: nothing to record, hold or fault-check.
+            return Ok(ready);
+        }
         let jitter = self.noise.factor(dev, seq);
         let mut span = span.scale(jitter);
 
@@ -859,6 +867,33 @@ mod tests {
         let t = e.transfer(0, 1 << 30, Dir::H2D, SimTime::from_secs(1.0), "x");
         assert_eq!(t, SimTime::from_secs(1.0));
         assert!(e.trace().is_empty());
+    }
+
+    /// A 0-byte transfer to a K40 moves nothing: it returns `ready`,
+    /// records no event and holds neither DMA engine nor the bus lane,
+    /// but it takes a sequence number, so the next transfer draws the
+    /// jitter it would draw after any one transfer.
+    #[test]
+    fn empty_transfers_take_a_sequence_number_and_nothing_else() {
+        let noisy = || Engine::new(Machine::four_k40(), NoiseModel::new(42, 0.05));
+        let at = SimTime::from_secs(1.0);
+        let mut e = noisy();
+        assert_eq!(e.try_transfer(1, 0, Dir::H2D, at, "empty"), Ok(at));
+        assert!(e.trace().is_empty());
+        assert_eq!(e.ops_submitted(), 0);
+        assert_eq!((e.h2d_free[1], e.d2h_free[1]), (SimTime::ZERO, SimTime::ZERO));
+        assert!(e.bus_free.iter().all(|&t| t == SimTime::ZERO), "no bus lane held");
+        assert_eq!(e.op_seq[1], 1);
+
+        // The next transfer's span: after the empty one, after a real
+        // transfer in the other direction, and with no transfer before.
+        let next = |e: &mut Engine| e.transfer(1, 1 << 20, Dir::H2D, at, "x") - at;
+        let mut after_one = noisy();
+        after_one.transfer(1, 8, Dir::D2H, SimTime::ZERO, "one");
+        let mut first = noisy();
+        let span = next(&mut e);
+        assert_eq!(span, next(&mut after_one));
+        assert_ne!(span, next(&mut first), "the draw depends on the sequence number");
     }
 
     #[test]

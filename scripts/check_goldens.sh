@@ -10,8 +10,19 @@
 #
 # Exits non-zero if any artifact differs, after printing the first lines
 # of each diff.
+#
+# After a change that is meant to move an artifact, regenerate the
+# goldens with `scripts/check_goldens.sh --bless` and explain the diff.
+# It runs the same binaries, requires every artifact and stdout at 4 jobs
+# to equal the run at 1, and only then copies each fresh artifact over
+# its golden.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+bless=0
+if [ "${1:-}" = "--bless" ]; then
+    bless=1
+fi
 
 cargo build --release --quiet -p homp-bench
 bin="${CARGO_TARGET_DIR:-target}/release"
@@ -20,7 +31,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 failed=0
 
-# check NAME ACTUAL GOLDEN
+# check NAME ACTUAL EXPECTED
 check() {
     if cmp -s "$2" "$3"; then
         printf 'ok    %-20s jobs=%s\n' "$1" "$jobs"
@@ -31,33 +42,63 @@ check() {
     fi
 }
 
+# Each artifact NAME of the run at $jobs jobs is kept as $out/NAME.$jobs,
+# and the stdout of a binary that writes it under results/ as
+# $out/NAME.$jobs.txt.
 for jobs in 1 4; do
     export HOMP_BENCH_JOBS=$jobs
-    "$bin/report" --json --seed 42 >"$out/report.json" 2>/dev/null
-    check report "$out/report.json" "$golden/report_full_node_seed42.json"
-    "$bin/data_region" --seed 42 >"$out/data_region.json" 2>/dev/null
-    check data_region "$out/data_region.json" "$golden/data_region_seed42.json"
-    "$bin/pipeline" --seed 42 >"$out/pipeline.json" 2>/dev/null
-    check pipeline "$out/pipeline.json" "$golden/pipeline_seed42.json"
-    "$bin/fig5" --seed 42 >"$out/fig5.$jobs.txt" 2>/dev/null
-    check fig5 results/fig5.csv "$golden/fig5_seed42.csv"
-    "$bin/fig9" --seed 42 >"$out/fig9.$jobs.txt" 2>/dev/null
-    check fig9 results/fig9.csv "$golden/fig9_seed42.csv"
-    check fig9_cutoff results/fig9_cutoff.csv "$golden/fig9_cutoff_seed42.csv"
-    "$bin/serve_traffic" --seed 42 >"$out/serve_traffic.$jobs.txt" 2>/dev/null
-    check serve_traffic results/serve_traffic.json "$golden/serve_traffic_seed42.json"
-    "$bin/chaos_soak" --seed 42 >"$out/chaos_soak.$jobs.txt" 2>/dev/null
-    check chaos_soak results/chaos_soak.json "$golden/chaos_soak_seed42.json"
+    "$bin/report" --json --seed 42 >"$out/report.$jobs" 2>/dev/null
+    "$bin/data_region" --seed 42 >"$out/data_region.$jobs" 2>/dev/null
+    "$bin/pipeline" --seed 42 >"$out/pipeline.$jobs" 2>/dev/null
+    for name in fig5 fig9 serve_traffic chaos_soak; do
+        "$bin/$name" --seed 42 >"$out/$name.$jobs.txt" 2>/dev/null
+    done
     for name in ablation_constants ablation_overlap; do
         "$bin/$name" >"$out/$name.$jobs.txt" 2>/dev/null
-        check "$name" "results/$name.csv" "$golden/${name}_seed20170529.csv"
+    done
+    for file in fig5.csv fig9.csv fig9_cutoff.csv serve_traffic.json chaos_soak.json \
+        ablation_constants.csv ablation_overlap.csv; do
+        cp "results/$file" "$out/${file%.*}.$jobs"
     done
 done
+
+# NAME:GOLDEN for every artifact.
+artifacts=(
+    report:report_full_node_seed42.json
+    data_region:data_region_seed42.json
+    pipeline:pipeline_seed42.json
+    fig5:fig5_seed42.csv
+    fig9:fig9_seed42.csv
+    fig9_cutoff:fig9_cutoff_seed42.csv
+    serve_traffic:serve_traffic_seed42.json
+    chaos_soak:chaos_soak_seed42.json
+    ablation_constants:ablation_constants_seed20170529.csv
+    ablation_overlap:ablation_overlap_seed20170529.csv
+)
+if [ "$bless" = 1 ]; then
+    jobs="4 vs 1"
+    for pair in "${artifacts[@]}"; do
+        check "${pair%%:*}" "$out/${pair%%:*}.4" "$out/${pair%%:*}.1"
+    done
+else
+    for jobs in 1 4; do
+        for pair in "${artifacts[@]}"; do
+            check "${pair%%:*}" "$out/${pair%%:*}.$jobs" "$golden/${pair#*:}"
+        done
+    done
+fi
 
 # The other binaries' stdout is the artifact checked above.
 jobs="4 vs 1"
 for name in fig5 fig9 serve_traffic chaos_soak ablation_constants ablation_overlap; do
     check "$name stdout" "$out/$name.4.txt" "$out/$name.1.txt"
 done
+
+if [ "$bless" = 1 ] && [ "$failed" = 0 ]; then
+    for pair in "${artifacts[@]}"; do
+        cp "$out/${pair%%:*}.1" "$golden/${pair#*:}"
+    done
+    echo "wrote ${#artifacts[@]} goldens in $golden"
+fi
 
 exit "$failed"
