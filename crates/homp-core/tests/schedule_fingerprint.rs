@@ -8,8 +8,9 @@
 //! and two offloads inside a `target data` region. Each golden line is
 //! one (machine, fault script, variant, offload mode) cell holding the
 //! 16 per-algorithm hashes. Every run also asserts exactly-once
-//! execution, that its decision log partitions the loop and that no
-//! transfer in its trace moves 0 bytes.
+//! execution, that its decision log partitions the loop and that its
+//! trace is a valid schedule (`assert_schedule_valid`: every op inside
+//! the offload's window, no lane double-booked, no 0-byte transfer).
 //!
 //! A hash covers the trace CSV, the decision log, the per-slot counts,
 //! the chunk count, the kept devices and the bits of the makespan,
@@ -21,20 +22,21 @@
 //! both machines. Each hash covers the combined trace, every stage's
 //! decisions, counts, chunks, fault summary and makespan/completion
 //! bits, and the pipeline's makespan, completion and barrier-sum bits.
+//! Each pipeline's combined trace passes the same schedule check.
 //!
 //! On a mismatch the test first prints how many cells differ in each
 //! algorithm column (or how many pipeline lines differ), then every
 //! actual line; after checking that a schedule change is intended,
 //! paste them into the golden file.
 
-use homp_core::testing::{assert_decisions_partition, CoverageKernel};
+use homp_core::testing::{assert_decisions_partition, assert_schedule_valid, CoverageKernel};
 use homp_core::{
     Algorithm, ChunkingPolicy, FaultConfig, FaultSummary, OffloadRegion, OffloadReport, Pipeline,
     PipelineKernel, Range, Runtime, RuntimeConfig,
 };
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
-use homp_sim::{DeviceId, FaultPlan, Machine, OpKind, SimTime, Trace};
+use homp_sim::{DeviceId, FaultPlan, Machine, SimTime};
 
 const GOLDEN: &str = include_str!("golden/schedule_fingerprint.txt");
 
@@ -117,16 +119,6 @@ fn hash_faults(h: &mut Fnv, f: &FaultSummary) {
     h.u64(f.host_iters);
 }
 
-/// Resident data and absent reductions move nothing, so no H2D or D2H
-/// event in `trace` carries 0 bytes.
-fn assert_no_empty_transfer(trace: &Trace, label: &str) {
-    let empty = trace
-        .events()
-        .iter()
-        .find(|e| matches!(e.kind, OpKind::H2D | OpKind::D2H) && e.amount == 0);
-    assert!(empty.is_none(), "{label}: 0-byte transfer {:?}", empty.map(|e| trace.label(e.label)));
-}
-
 /// An irregular loop: iteration cost ramps from 0.5× to 1.5×.
 fn ramp(i: u64) -> f64 {
     0.5 + i as f64 / N as f64
@@ -200,8 +192,9 @@ impl Mode {
     }
 }
 
-/// Run one cell and return its hash, asserting exactly-once execution
-/// and the decision-log partition for every offload it issues.
+/// Run one cell and return its hash, asserting exactly-once execution,
+/// the decision-log partition and a valid schedule for every offload it
+/// issues.
 fn fingerprint(
     machine: &Machine,
     faults: &FaultConfig,
@@ -223,7 +216,8 @@ fn fingerprint(
         let report = b.run().unwrap_or_else(|e| panic!("{label}: offload failed: {e}"));
         k.assert_exactly_once(label);
         assert_decisions_partition(&report, N, label);
-        assert_no_empty_transfer(&report.trace, label);
+        let dispatch = at.unwrap_or(SimTime::ZERO);
+        assert_schedule_valid(&report.trace, dispatch, report.completed_at, machine, label);
         hash_report(h, &report);
     };
     match mode {
@@ -360,7 +354,7 @@ fn pipeline_plan(script: &str, machine: &Machine, base: f64) -> FaultConfig {
 }
 
 /// Run one pipeline cell and return its hash, asserting exactly-once
-/// execution and a per-stage decision partition.
+/// execution, a per-stage decision partition and a valid schedule.
 fn pipeline_fingerprint(
     machine: &Machine,
     faults: &FaultConfig,
@@ -373,7 +367,7 @@ fn pipeline_fingerprint(
     let rep = rt
         .offload_pipeline(pipe, &mut k)
         .unwrap_or_else(|e| panic!("{label}: pipeline failed: {e}"));
-    assert_no_empty_transfer(&rep.trace, label);
+    assert_schedule_valid(&rep.trace, SimTime::ZERO, rep.completed_at, machine, label);
     let mut h = Fnv::new();
     h.str(&rep.trace.to_csv());
     for (s, stage) in rep.stages.iter().enumerate() {
