@@ -40,7 +40,7 @@ pub use cutoff::{apply_cutoff, CutoffOutcome};
 pub use heuristics::{select_algorithm, AlgorithmChoice, KernelClass};
 pub use hockney::Hockney;
 pub use model1::{model1_shares, model1_system};
-pub use model2::{eq5_factors, model2_shares, offload_speedup, DeviceCost, Eq5Factors};
+pub use model2::{eq5_factors, model2_shares, DeviceCost, Eq5Factors};
 pub use roofline::{attainable_rate, KernelIntensity};
 
 /// A device as seen by the analytical models: the handful of machine
@@ -69,31 +69,5 @@ impl DeviceParams {
     /// An accelerator behind a link.
     pub fn accelerator(perf_flops: f64, mem_bw: f64, link: Hockney, launch_overhead: f64) -> Self {
         Self { perf_flops, mem_bw, link: Some(link), launch_overhead }
-    }
-
-    /// Transfer time for `bytes` over this device's link (zero for host).
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
-        match self.link {
-            Some(l) => l.time(bytes),
-            None => 0.0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn host_has_no_transfer_cost() {
-        let host = DeviceParams::host(1e9, 1e10);
-        assert_eq!(host.transfer_time(1e9), 0.0);
-    }
-
-    #[test]
-    fn accelerator_pays_latency_and_bandwidth() {
-        let dev = DeviceParams::accelerator(1e12, 2e11, Hockney::new(1e-5, 1e10), 1e-5);
-        let t = dev.transfer_time(1e10);
-        assert!((t - (1e-5 + 1.0)).abs() < 1e-9);
     }
 }

@@ -98,8 +98,8 @@ impl Eq5Factors {
 
 /// Compute Equation 5's factors for offloading `kernel` from `host` to
 /// `dev`. Uses raw peak rates (no roofline attenuation), as the paper's
-/// formula does — the approximation error relative to
-/// [`offload_speedup`] is the model's documented simplification.
+/// formula does — the approximation error relative to the ratio of
+/// [`device_cost`]s is the model's documented simplification.
 pub fn eq5_factors(
     host: &DeviceParams,
     dev: &DeviceParams,
@@ -111,23 +111,6 @@ pub fn eq5_factors(
         perf_over_bandwidth: host.perf_flops / link.beta,
         perf_ratio: host.perf_flops / dev.perf_flops,
     })
-}
-
-/// Equation 5's speedup of offloading to `dev` relative to executing on
-/// `host`, for a chunk of `n` iterations. Values above 1 mean the device
-/// is faster than the host for this kernel.
-pub fn offload_speedup(
-    host: &DeviceParams,
-    dev: &DeviceParams,
-    kernel: &KernelIntensity,
-    n: f64,
-) -> f64 {
-    let th = device_cost(host, kernel).time(n);
-    let td = device_cost(dev, kernel).time(n);
-    if td <= 0.0 {
-        return f64::INFINITY;
-    }
-    th / td
 }
 
 /// `MODEL_2` shares for a loop of `n` iterations: fraction of the loop per
@@ -253,19 +236,6 @@ mod tests {
         let s = model2_shares(&[host(), slow_link_gpu], &axpy(), 16);
         assert!(s[0] > 0.999);
         assert!(s[1] < 1e-9);
-    }
-
-    #[test]
-    fn offload_speedup_matches_cost_ratio() {
-        let h = host();
-        let g = gpu();
-        let k = matmul_like();
-        let n = 1e7;
-        let sp = offload_speedup(&h, &g, &k, n);
-        let th = device_cost(&h, &k).time(n);
-        let td = device_cost(&g, &k).time(n);
-        assert!((sp - th / td).abs() < 1e-12);
-        assert!(sp > 1.0, "GPU should win on compute-intensive work");
     }
 
     #[test]

@@ -59,13 +59,6 @@ pub fn attainable_rate(intensity: &KernelIntensity, peak_flops: f64, mem_bw: f64
     peak_flops.min(mem_bound)
 }
 
-/// Seconds to execute `iters` iterations of the kernel on such a device,
-/// compute/memory roofline only (no transfer, no launch overhead).
-pub fn exec_time(intensity: &KernelIntensity, iters: f64, peak_flops: f64, mem_bw: f64) -> f64 {
-    let rate = attainable_rate(intensity, peak_flops, mem_bw);
-    iters * intensity.flops_per_iter / rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,14 +101,6 @@ mod tests {
         };
         let rate = attainable_rate(&k, 1.43e12, 288e9);
         assert_eq!(rate, 1.43e12);
-    }
-
-    #[test]
-    fn exec_time_scales_linearly_with_iterations() {
-        let k = axpy();
-        let t1 = exec_time(&k, 1e6, 1e12, 1e11);
-        let t2 = exec_time(&k, 2e6, 1e12, 1e11);
-        assert!((t2 / t1 - 2.0).abs() < 1e-12);
     }
 
     #[test]
