@@ -231,9 +231,10 @@ impl Engine {
     /// Install a fault plan. Only the fault-checked `try_*` entry points
     /// consult it; the plain infallible methods (used by profiling and
     /// halo exchange) behave identically with or without a plan. A
-    /// scripted dropout applies per offload region: [`Engine::reset`]
-    /// rewinds the clock, so the device fails again at the same virtual
-    /// time in the next region.
+    /// scripted dropout is at a virtual instant: [`Engine::reset`]
+    /// rewinds the clock, so the device fails again at that instant after
+    /// each reset (in the runtime, each plain `.run()`), while work
+    /// queued on the calendars as they stand meets it once.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
